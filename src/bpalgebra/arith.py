@@ -14,6 +14,7 @@ intermediate linear algebra stays over Q.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -545,12 +546,52 @@ def _lagrange(points, values):
     return coeffs
 
 
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the given matrix over Q.
+# A 61-bit Mersenne prime: the modulus of the rank certificate in kernel_basis.
+_PRIME = 2**61 - 1
 
-    Rows may be ragged-free lists of length ``ncols``.  Returns a list of
-    kernel vectors (each of length ``ncols``), deterministically ordered by
-    free column.
+
+def _pivot_rows_mod_p(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Indices of the rows that become pivots of a row echelon form mod ``_PRIME``.
+
+    Each row is first scaled to an integer row by the lcm of its
+    denominators, so no denominator is ever inverted mod p.  The rows are
+    kept sparse; the scan stops once every column has a pivot.
+    """
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> row with leading entry 1
+    selected = []
+    for index, row in enumerate(rows):
+        scale = math.lcm(*(v.denominator for v in row if v))
+        vec = {}
+        for c, v in enumerate(row):
+            value = v.numerator * (scale // v.denominator) % _PRIME
+            if value:
+                vec[c] = value
+        while vec:
+            lead = min(vec)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                inv = pow(vec[lead], -1, _PRIME)
+                echelon[lead] = {c: v * inv % _PRIME for c, v in vec.items()}
+                selected.append(index)
+                break
+            factor = vec[lead]
+            for c, v in pivot.items():
+                # A column missing from vec gets -factor * v, never 0 mod p.
+                value = (vec.get(c, 0) - factor * v) % _PRIME
+                if value:
+                    vec[c] = value
+                else:
+                    del vec[c]
+        if len(echelon) == ncols:
+            break
+    return selected
+
+
+def _gauss_jordan_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis by dense Gauss-Jordan elimination over Q.
+
+    One vector per free column of the reduced row echelon form: 1 on its
+    free column, 0 on the other free columns.
     """
     m = [row[:] for row in rows]
     pivots = {}
@@ -579,3 +620,37 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
             vec[pc] = -m[pr][fc]
         basis.append(vec)
     return basis
+
+
+def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of the given matrix over Q.
+
+    Rows are lists of length ``ncols``.  Returns a list of kernel vectors
+    (each of length ``ncols``), deterministically ordered by free column:
+    the vector of a free column of the reduced row echelon form is 1 there
+    and 0 on every other free column.
+
+    The rank is first computed modulo the prime p = 2^61 - 1 on the rows
+    scaled to integers.  Every minor of an integer matrix that is nonzero
+    mod p is nonzero over Q, so the rank mod p is at most the rank over Q:
+    when it equals ``ncols`` the kernel is {0}, and that is a proof.
+
+    Otherwise the exact Gauss-Jordan elimination runs on the rows that were
+    pivots mod p only.  Each resulting vector is checked over Q against every
+    row of the matrix; rows that fail join the selection and the solve is
+    repeated.  When every row passes, the selected rows have the same kernel
+    as the whole matrix, hence the same reduced row echelon form and the
+    same basis.  An unlucky prime costs time, never correctness.
+    """
+    chosen = set(_pivot_rows_mod_p(rows, ncols))
+    if len(chosen) == ncols:
+        return []
+    sparse = [[(c, v) for c, v in enumerate(row) if v] for row in rows]
+    while True:
+        basis = _gauss_jordan_kernel([rows[i] for i in sorted(chosen)], ncols)
+        failing = {
+            i for i, row in enumerate(sparse) if any(sum(v * vec[c] for c, v in row) for vec in basis)
+        }
+        if not failing:
+            return basis
+        chosen |= failing

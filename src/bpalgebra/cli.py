@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -45,9 +46,35 @@ class UsageError(Exception):
 
 def _parse_level(text: str) -> Fraction:
     try:
-        return frac(text)
+        level = frac(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad level {text!r}: {exc}") from None
+    if level == -3:
+        raise UsageError("level -3 is excluded (the critical level)")
+    return level
+
+
+def _parse_weight(text: str) -> Fraction:
+    try:
+        weight = frac(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad weight {text!r}: {exc}") from None
+    if weight.denominator > 2:
+        raise UsageError(f"bad weight {text!r}: weights are multiples of 1/2")
+    bound = _weight_bound()
+    if weight < 0 or weight > bound:
+        raise UsageError(f"weight must lie in [0, {bound}]")
+    return weight
+
+
+def _weight_bound() -> int:
+    """The enumeration bound; a malformed BPALG_WEIGHT_BOUND is a usage error."""
+    try:
+        return weight_bound()
+    except ValueError:
+        raise UsageError(
+            f"BPALG_WEIGHT_BOUND must be an integer, not {os.environ['BPALG_WEIGHT_BOUND']!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +91,9 @@ _GOLDEN_SINGULAR = {
 
 def cmd_singular(args) -> tuple[dict, bool]:
     level = _parse_level(args.level)
-    weight = frac(args.weight)
+    weight = _parse_weight(args.weight)
     charge = int(args.charge)
     grading = args.grading
-    if weight < 0 or weight > weight_bound():
-        raise UsageError(f"weight must lie in [0, {weight_bound()}]")
     sol = find_singular(level, weight, charge, grading)
     report = {
         "suite": "singular",
@@ -76,7 +101,7 @@ def cmd_singular(args) -> tuple[dict, bool]:
         "grading": grading,
         "weight": str(weight),
         "charge": charge,
-        "space_dimension": len(enumerate_basis(BPAlgebra(level, grading), VAC, weight, charge)),
+        "space_dimension": sol.space_dimension,
         "annihilators": [mode_str(m) for m in sol.annihilators],
         "kernel_dimension": sol.dimension,
     }
@@ -126,8 +151,6 @@ def cmd_singular(args) -> tuple[dict, bool]:
 
 def cmd_zhu(args) -> tuple[dict, bool]:
     level = _parse_level(args.level)
-    if level == -3:
-        raise UsageError("level -3 is excluded")
     algebra = BPAlgebra(level, BAR)
     sm = SmithAlgebra(level)
     red = ZhuReducer(algebra)
@@ -431,6 +454,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        _weight_bound()
         report, ok = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,7 @@ class SingularSolution:
     weight: Fraction
     charge: int
     convention: str
+    space_dimension: int  # dimension of the weight space searched
     dimension: int
     vectors: list  # list of State
     annihilators: list = field(default_factory=list)
@@ -92,7 +93,7 @@ def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSe
         if not ok:
             raise AssertionError(f"kernel vector fails reverification: {witness}")
     return SingularSolution(
-        algebra.k, basis.weight, charge, convention, len(vectors), vectors, list(ann.modes)
+        algebra.k, basis.weight, charge, convention, len(states), len(vectors), vectors, list(ann.modes)
     )
 
 

@@ -3,7 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from bpalgebra import singular
 from bpalgebra.arith import (
+    _PRIME,
+    _pivot_rows_mod_p,
     POLY_X,
     POLY_Y,
     Poly1,
@@ -14,6 +17,7 @@ from bpalgebra.arith import (
     rational_roots,
     resultant,
 )
+from bpalgebra.modes import BAR, OMEGA
 
 
 def test_frac_parsing():
@@ -137,3 +141,97 @@ def test_kernel_basis():
     assert len(basis) == 2
     for vec in basis:
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
+
+
+def _reference_kernel(rows, ncols):
+    """Dense Gauss-Jordan over Q on every row: the kernel before the rank certificate."""
+    m = [row[:] for row in rows]
+    pivots = {}
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots[col] = r
+        r += 1
+        if r == len(m):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Q(0)] * ncols
+        vec[fc] = Q(1)
+        for pc, pr in pivots.items():
+            vec[pc] = -m[pr][fc]
+        basis.append(vec)
+    return basis
+
+
+def _random_sparse_matrix(rng):
+    """A sparse rational matrix with the shapes and entries that stress the mod-p pass."""
+    nrows, ncols = rng.choice([(rng.randint(0, 14), rng.randint(0, 8)), (rng.randint(0, 6), rng.randint(0, 12))])
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.1:
+            return Q(_PRIME * rng.randint(-2, 2), rng.randint(1, 3))  # 0 mod p
+        if kind < 0.2:
+            return Q(rng.randint(-4, 4), _PRIME * rng.randint(1, 2))  # denominator divisible by p
+        return Q(rng.randint(-6, 6), rng.randint(1, 5))
+
+    rows = [[entry() if rng.random() < 0.35 else Q(0) for _ in range(ncols)] for _ in range(nrows)]
+    if ncols and rng.random() < 0.3:  # a column that vanishes mod p
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] *= _PRIME
+    if rows:
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("zero", "duplicate", "sum"))
+            if kind == "zero":
+                new = [Q(0)] * ncols
+            elif kind == "duplicate":
+                new = rng.choice(rows)[:]
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                new = [x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
+            rows.insert(rng.randint(0, len(rows)), new)
+    return rows, ncols
+
+
+def test_kernel_basis_matches_reference_on_random_matrices():
+    rng = random.Random(20191031)
+    cases = [([], 0), ([], 4), ([[]], 0), ([[], []], 0), ([[Q(_PRIME)]], 1), ([[Q(1, _PRIME), Q(1)]], 2)]
+    cases += [_random_sparse_matrix(rng) for _ in range(100 - len(cases))]
+    shapes = {"tall": 0, "wide": 0}
+    mod_p_rank_short = 0
+    for rows, ncols in cases:
+        want = _reference_kernel(rows, ncols)
+        assert kernel_basis(rows, ncols) == want, (rows, ncols)
+        if rows and ncols:
+            shapes["tall" if len(rows) > ncols else "wide"] += 1
+        mod_p_rank_short += len(_pivot_rows_mod_p(rows, ncols)) < ncols - len(want)
+    assert min(shapes.values()) >= 20, shapes
+    # The verification loop, not only the certificate, must be exercised.
+    assert mod_p_rank_short >= 5
+
+
+def test_kernel_basis_matches_reference_on_ladder_matrices(monkeypatch):
+    matrices = []
+
+    def capture(rows, ncols):
+        matrices.append(([row[:] for row in rows], ncols))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(singular, "kernel_basis", capture)
+    for grading in (BAR, OMEGA):
+        for weight in (4, 5, 6, 7):
+            singular.find_singular(Q(-5, 3), weight, 0, grading)
+    assert len(matrices) == 8
+    for rows, ncols in matrices:
+        assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols)

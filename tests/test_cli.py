@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bpalgebra.cli import main
 
 
@@ -91,6 +93,25 @@ def test_bad_flags_exit_2(capsys):
     assert run(capsys, "singular", "--level", "nonsense", "--weight", "4")[0] == 2
     assert run(capsys, "singular", "--level", "-5/3", "--weight", "99")[0] == 2
     assert run(capsys, "wrongcommand")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--level", "-3", "--weight", "4"], None),
+        (["--level", "-5/3", "--weight", "1/3"], None),
+        (["--level", "-5/3", "--weight", "abc"], None),
+        (["--level", "-5/3", "--weight", "4"], "abc"),
+    ],
+    ids=["critical-level", "third-weight", "non-rational-weight", "non-integer-bound"],
+)
+def test_bad_singular_input_exits_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("BPALG_WEIGHT_BOUND", env)
+    code, out, err = run(capsys, "singular", *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_mathematical_mismatch_exits_1(capsys, monkeypatch):

@@ -31,6 +31,13 @@ def test_weight2_kernel_empty():
     assert find_singular(Q(-5, 3), 2, 0, OMEGA).dimension == 0
 
 
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_weight8_kernel_empty(grading):
+    sol = find_singular(Q(-5, 3), 8, 0, grading)
+    assert sol.space_dimension == 159
+    assert sol.dimension == 0
+
+
 def test_bar_grading_weight4_kernel():
     sol = find_singular(Q(-5, 3), 4, 0, BAR)
     assert sol.dimension == 1
