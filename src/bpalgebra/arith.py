@@ -197,6 +197,17 @@ class Poly2:
             out = out + Poly2.const(val) * px**i * py**j
         return out
 
+    def specialize(self, var: str, value) -> "Poly1":
+        """Set ``var`` to ``value``; the result is univariate in the other variable."""
+        pos = 0 if var == "x" else 1
+        value = frac(value)
+        coeffs: dict[int, Fraction] = {}
+        for key, val in self.c.items():
+            d = key[1 - pos]
+            coeffs[d] = coeffs.get(d, Fraction(0)) + val * value ** key[pos]
+        deg = max(coeffs, default=0)
+        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var="y" if pos == 0 else "x")
+
     def as_poly1_in(self, var: str) -> "Poly1":
         """View as univariate in ``var``; the other variable must be absent."""
         pos = 0 if var == "x" else 1
@@ -487,17 +498,13 @@ def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly1:
     t = 0
     while len(points) <= bound:
         pt = Fraction(t)
-        scalar = [[_eval_in(entry, keep, pt) for entry in row] for row in matrix]
+        # Entries are univariate in ``keep``.
+        scalar = [[entry.specialize(keep, pt)[0] for entry in row] for row in matrix]
         values.append(_det_fraction(scalar))
         points.append(pt)
         t += 1
     coeffs = _lagrange(points, values)
     return Poly1(coeffs, var=keep)
-
-
-def _eval_in(p: Poly2, keep: str, pt: Fraction) -> Fraction:
-    # Entries are univariate in ``keep``.
-    return p.eval(pt, 0) if keep == "x" else p.eval(0, pt)
 
 
 def _det_fraction(matrix) -> Fraction:

@@ -20,8 +20,9 @@ from fractions import Fraction
 
 from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
 from .modes import BAR, BPAlgebra, OMEGA
+from .tables import RATIONAL_LEVELS, golden_tables, table_state
 from .weightspace import contragredient_weight
-from .zhu import g_poly, h_in_i, h_poly, zero_mode_poly
+from .zhu import h_in_i, h_poly, zero_mode_poly
 
 SUPPORTED_LEVELS = (Q(-5, 3), Q(-9, 4), Q(-1), Q(0))
 
@@ -67,8 +68,8 @@ def solve_system(p: Poly2, q: Poly2):
         complete = complete and cofactor.is_const()
     solutions = []
     for xv in sorted(candidates_x):
-        col = _substitute_x(p, xv)
-        col_q = _substitute_x(q, xv)
+        col = p.specialize("x", xv)
+        col_q = q.specialize("x", xv)
         ys, flag_complete = _common_univariate_roots(col, col_q)
         complete = complete and flag_complete
         for yv in ys:
@@ -76,14 +77,6 @@ def solve_system(p: Poly2, q: Poly2):
                 solutions.append((xv, yv))
     solutions = sorted(set(solutions))
     return solutions, complete
-
-
-def _substitute_x(p: Poly2, xv: Fraction) -> Poly1:
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), val in p.c.items():
-        coeffs[j] = coeffs.get(j, Q(0)) + val * xv**i
-    deg = max(coeffs, default=0)
-    return Poly1([coeffs.get(d, Q(0)) for d in range(deg + 1)], var="y")
 
 
 def _common_univariate_roots(p: Poly1, q: Poly1):
@@ -115,6 +108,7 @@ class BranchResult:
     solutions: list
     admitted: list
     excluded: list = field(default_factory=list)  # (weight, reason)
+    complete: bool = True  # False when irrational solutions may be missing
 
 
 @dataclass
@@ -147,12 +141,10 @@ def _psi_shift(k: Fraction, i: int):
 
 def projection_filter(k: Fraction) -> Poly2:
     """The singular-vector projection in shifted labels: U or V at (x, y+x/2)."""
-    from .tables import singular_vector_bar
-
     level = frac(k)
-    state = singular_vector_bar(level)
-    if state is None:
+    if level not in RATIONAL_LEVELS:
         raise UnsupportedLevel(f"no singular-vector filter at level {level}")
+    state = table_state(RATIONAL_LEVELS[level].singular)
     algebra = BPAlgebra(level, BAR)
     proj = zero_mode_poly(algebra, state, OMEGA)
     return proj.subst(POLY_X, POLY_Y + POLY_X * Q(1, 2))
@@ -176,10 +168,8 @@ def infinite_top_certificates(k, weights) -> list[Certificate]:
 
 def classify_level(k) -> WeightSet:
     level = frac(k)
-    if level == Q(-5, 3):
-        return _classify_5_3(level)
-    if level == Q(-9, 4):
-        return _classify_9_4(level)
+    if level in RATIONAL_LEVELS:
+        return _classify_rational(level)
     if level == Q(-1):
         return _classify_minus_one(level)
     if level == Q(0):
@@ -187,133 +177,71 @@ def classify_level(k) -> WeightSet:
     raise UnsupportedLevel(f"level {level} is not in the supported set")
 
 
-def _h(i: int, k: Fraction) -> Poly2:
-    return h_poly(i, k)
+def _classify_rational(k: Fraction) -> WeightSet:
+    """Branches of the Smith relation E^P (Y - y0) = 0.
 
-
-def _classify_5_3(k: Fraction) -> WeightSet:
+    A top level of dimension i <= P satisfies h_i = 0.  Off the diagonal
+    y = x + i - 1 the flow-shifted weight has a top level of some dimension
+    j <= P (generic branches); on it, the shifted weight lies on y = y0.
+    Every finite candidate must pass the projection filter; the candidates
+    on y = y0 are cut down by the filter and by the contragredient weight.
+    """
+    data = RATIONAL_LEVELS[k]
     filt = projection_filter(k)
+    reason = "fails the weight-{} projection filter".format(golden_tables()[data.singular]["weight"])
+    h = {i: h_poly(i, k) for i in range(1, data.power + 1)}
     branches = []
-    finite = set()
 
-    def shifted(i_top: int, h_index: int) -> Poly2:
-        px, py = _psi_shift(k, i_top)
-        return _h(h_index, k).subst(px, py)
+    def add(name, description, system, sols, candidates, complete):
+        admitted = [s for s in candidates if filt.eval(*s) == 0]
+        excluded = [(s, reason) for s in candidates if filt.eval(*s) != 0]
+        branches.append(BranchResult(
+            name, description, [str(p) for p in system], sols, admitted, excluded, complete))
 
-    # One-dimensional top level, flow stays off the boundary eigenvalue.
-    h1 = _h(1, k)
-    sols, complete = solve_system(h1, shifted(1, 1))
-    branches.append(BranchResult(
-        "dim1-generic", "h1(x,y) = 0 = h1 at the flow-shifted weight (y != x)",
-        [str(h1), str(shifted(1, 1))], sols, [s for s in sols if s[1] != s[0]]))
-    finite.update(branches[-1].admitted)
+    for i, hi in h.items():
+        line = "x" if i == 1 else f"x+{i - 1}"
+        px, py = _psi_shift(k, i)
+        for j, hj in h.items():
+            shifted = hj.subst(px, py)
+            sols, complete = solve_system(hi, shifted)
+            # Descriptions are report text: only the j = 1 systems name the
+            # diagonal that every generic branch leaves out.
+            add("dim1-generic" if i == j == 1 else f"dim{i}-to-dim{j}",
+                f"h{i}(x,y) = 0 = h{j} at the flow-shifted weight" + (f" (y != {line})" if j == 1 else ""),
+                [hi, shifted], sols, [s for s in sols if s[1] != s[0] + i - 1], complete)
+            if j == i:
+                diag = hi.subst(POLY_X, POLY_X + i - 1).as_poly1_in("x")
+                roots, cofactor = rational_roots(diag)
+                sols = sorted((r, r + i - 1) for r in roots)
+                add(f"dim{i}-diagonal", f"h{i}(x,{line}) = 0 (flow-shifted weight hits the boundary)",
+                    [diag], sols, sols, cofactor.is_const())
+    finite = sorted({s for br in branches for s in br.admitted})
 
-    # Diagonal y = x: the flow lands on the boundary eigenvalue.
-    diag_poly = _poly_on_diagonal(h1, 0)
-    roots, cof = rational_roots(diag_poly)
-    sols = sorted((r, r) for r in roots)
-    branches.append(BranchResult(
-        "dim1-diagonal", "h1(x,x) = 0 (flow-shifted weight hits the boundary)",
-        [str(diag_poly)], sols, sols))
-    finite.update(sols)
-
-    # One-dimensional top level flowing onto a two-dimensional one.
-    sols, _ = solve_system(h1, shifted(1, 2))
-    branches.append(BranchResult(
-        "dim1-to-dim2", "h1(x,y) = 0 = h2 at the flow-shifted weight",
-        [str(h1), str(shifted(1, 2))], sols, sols))
-    finite.update(sols)
-
-    # Two-dimensional top level onto a one-dimensional one.
-    h2 = _h(2, k)
-    sols, _ = solve_system(h2, shifted(2, 1))
-    branches.append(BranchResult(
-        "dim2-to-dim1", "h2(x,y) = 0 = h1 at the flow-shifted weight (y != x+1)",
-        [str(h2), str(shifted(2, 1))], sols, sols))
-    finite.update(sols)
-
-    # Two-dimensional onto two-dimensional: excluded by the projection filter.
-    sols, _ = solve_system(h2, shifted(2, 2))
-    excluded = [(s, "fails the weight-4 projection filter") for s in sols
-                if filt.eval(*s) != 0]
-    admitted = [s for s in sols if filt.eval(*s) == 0]
-    branches.append(BranchResult(
-        "dim2-to-dim2", "h2(x,y) = 0 = h2 at the flow-shifted weight",
-        [str(h2), str(shifted(2, 2))], sols, admitted, excluded))
-    finite.update(admitted)
-
-    # Diagonal y = x + 1 for the two-dimensional case.
-    diag_poly2 = _poly_on_diagonal(h2, 1)
-    roots, _ = rational_roots(diag_poly2)
-    sols = sorted((r, r + 1) for r in roots)
-    branches.append(BranchResult(
-        "dim2-diagonal", "h2(x,x+1) = 0 (flow-shifted weight hits the boundary)",
-        [str(diag_poly2)], sols, sols))
-    finite.update(sols)
-
-    # Boundary eigenvalue branch: y = -1/9, candidates from the projection.
-    y0 = Q(-1, 9)
-    bound_poly = _poly_at_fixed_y(filt, y0)
-    roots, cof = rational_roots(bound_poly)
+    y0 = data.y0
+    bound_poly = filt.specialize("y", y0)
+    roots, cofactor = rational_roots(bound_poly)
     candidates = sorted((r, y0) for r in roots)
+    dims = "- or ".join(str(i) for i in h)
     admitted, excluded = [], []
     for (xv, yv) in candidates:
         cx, cy = contragredient_weight(xv, yv)
-        if cy != y0 and _h(1, k).eval(cx, cy) != 0 and _h(2, k).eval(cx, cy) != 0:
-            excluded.append(((xv, yv),
-                             "contragredient weight ({}, {}) admits no 1- or 2-dim top level".format(cx, cy)))
+        if cy != y0 and all(hi.eval(cx, cy) != 0 for hi in h.values()):
+            excluded.append(((xv, yv), f"contragredient weight ({cx}, {cy}) admits no {dims}-dim top level"))
         else:
             admitted.append((xv, yv))
     branches.append(BranchResult(
-        "boundary-y", "projection filter on the line y = -1/9",
-        [str(bound_poly)], candidates, admitted, excluded))
-    infinite = sorted(admitted)
+        "boundary-y", f"projection filter on the line y = {y0}",
+        [str(bound_poly)], candidates, admitted, excluded, cofactor.is_const()))
 
-    finite_sorted = sorted(finite)
-    certs = infinite_top_certificates(k, infinite)
-    ws = WeightSet(k, finite_sorted, infinite, branches=branches, certificates=certs)
-    _attach_common_checks(ws, filt)
-    return ws
-
-
-def _classify_9_4(k: Fraction) -> WeightSet:
-    filt = projection_filter(k)
-    branches = []
-    finite = set()
-
-    h1 = _h(1, k)
-    px, py = _psi_shift(k, 1)
-    sols, _ = solve_system(h1, h1.subst(px, py))
-    branches.append(BranchResult(
-        "dim1-generic", "h1(x,y) = 0 = h1 at the flow-shifted weight (y != x)",
-        [str(h1), str(h1.subst(px, py))], sols, sols))
-    finite.update(sols)
-
-    diag_poly = _poly_on_diagonal(h1, 0)
-    roots, _ = rational_roots(diag_poly)
-    sols = sorted((r, r) for r in roots)
-    branches.append(BranchResult(
-        "dim1-diagonal", "h1(x,x) = 0 (flow-shifted weight hits the boundary)",
-        [str(diag_poly)], sols, sols))
-    finite.update(sols)
-
-    y0 = Q(-1, 2)
-    bound_poly = _poly_at_fixed_y(filt, y0)
-    roots, _ = rational_roots(bound_poly)
-    infinite = sorted((r, y0) for r in roots)
-    branches.append(BranchResult(
-        "boundary-y", "projection filter on the line y = -1/2",
-        [str(bound_poly)], infinite, infinite))
-
-    ws = WeightSet(k, sorted(finite), infinite, branches=branches,
-                   certificates=infinite_top_certificates(k, infinite))
+    ws = WeightSet(k, finite, admitted, branches=branches,
+                   certificates=infinite_top_certificates(k, admitted))
     _attach_common_checks(ws, filt)
     return ws
 
 
 def _classify_minus_one(k: Fraction) -> WeightSet:
     # h1 vanishes exactly on the parabola y = (3x^2 - x)/2.
-    h1 = _h(1, k)
+    h1 = h_poly(1, k)
     parabola = POLY_Y - (3 * POLY_X**2 - POLY_X) * Q(1, 2)
     lead = h1.coeff_of("y", 1).const_value()
     factors_through = (h1 - parabola * lead) == Poly2()
@@ -326,8 +254,8 @@ def _classify_minus_one(k: Fraction) -> WeightSet:
 
 
 def _classify_zero(k: Fraction) -> WeightSet:
-    h1 = _h(1, k)
-    h2 = _h(2, k)
+    h1 = h_poly(1, k)
+    h2 = h_poly(2, k)
     fam0 = h1.subst(POLY_X, POLY_X**2 - POLY_X)  # y = x^2 - x
     fam1 = h2.subst(POLY_X, POLY_X**2)  # y = x^2
     identities = [
@@ -349,20 +277,6 @@ def _classify_zero(k: Fraction) -> WeightSet:
         identities=identities,
         flags=flags,
     )
-
-
-def _poly_on_diagonal(p: Poly2, shift: int) -> Poly1:
-    """p(x, x + shift) as a univariate polynomial."""
-    sub = p.subst(POLY_X, POLY_X + shift)
-    return sub.as_poly1_in("x")
-
-
-def _poly_at_fixed_y(p: Poly2, y0: Fraction) -> Poly1:
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), val in p.c.items():
-        coeffs[i] = coeffs.get(i, Q(0)) + val * y0**j
-    deg = max(coeffs, default=0)
-    return Poly1([coeffs.get(d, Q(0)) for d in range(deg + 1)], var="x")
 
 
 def _attach_common_checks(ws: WeightSet, filt: Poly2) -> None:

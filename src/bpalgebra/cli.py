@@ -6,7 +6,9 @@ values ship as package data; whenever a computed object has a golden
 counterpart the report carries the comparison and the exit code reflects it.
 
 Exit codes: 0 success / golden match, 1 mathematical mismatch (a bug or a
-source discrepancy, printed with a witness), 2 usage error.
+source discrepancy, printed with a witness) or an incomplete classification
+branch, 2 usage error, 3 internal error (an uncaught exception; the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .freefield import (
 from . import tables
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class UsageError(Exception):
@@ -81,14 +84,6 @@ def _weight_bound() -> int:
 # singular
 # ---------------------------------------------------------------------------
 
-_GOLDEN_SINGULAR = {
-    (Q(-5, 3), Q(4), 0, OMEGA): "omega4",
-    (Q(-9, 4), Q(3), 0, OMEGA): "omega3",
-    (Q(-5, 3), Q(4), 0, BAR): "omega4_bar",
-    (Q(-9, 4), Q(3), 0, BAR): "omega3_bar",
-}
-
-
 def cmd_singular(args) -> tuple[dict, bool]:
     level = _parse_level(args.level)
     weight = _parse_weight(args.weight)
@@ -106,7 +101,7 @@ def cmd_singular(args) -> tuple[dict, bool]:
         "kernel_dimension": sol.dimension,
     }
     ok = True
-    golden_name = _GOLDEN_SINGULAR.get((level, weight, charge, grading))
+    golden_name = tables.singular_table_name(level, weight, charge, grading)
     if args.check and golden_name is None:
         raise UsageError("no golden table for this configuration")
     if sol.dimension == 0:
@@ -193,26 +188,23 @@ def cmd_zhu(args) -> tuple[dict, bool]:
         "h_polynomials": h_rows,
     }
 
-    singular = tables.singular_vector_bar(level)
-    if singular is not None:
+    data = tables.RATIONAL_LEVELS.get(level)
+    if data is not None:
         golden = tables.golden_zhu()
-        uv_name, rel_name = ("U", "smith_relation_5_3") if level == Q(-5, 3) else ("V", "smith_relation_9_4")
+        singular = tables.table_state(data.singular)
         proj = zero_mode_poly(algebra, singular, OMEGA)
-        want_poly = tables.golden_poly(uv_name)
-        proj_ok = proj == want_poly
+        proj_ok = proj == tables.golden_poly(data.projection)
         ok = ok and proj_ok
         report["projection"] = {
-            "name": uv_name,
+            "name": data.projection,
             "poly": str(proj),
             "golden_match": proj_ok,
         }
-        relinfo = golden[rel_name]
-        relation = smith_relation(algebra, singular, relinfo["power"])
-        want_rel = SmithWord.from_json(sm, relinfo["word"])
-        rel_ok = relation == want_rel
+        relation = smith_relation(algebra, singular, data.power)
+        rel_ok = relation == SmithWord.from_json(sm, golden[data.relation]["word"])
         ok = ok and rel_ok
         report["smith_relation"] = {
-            "power": relinfo["power"],
+            "power": data.power,
             "word": str(relation),
             "golden_match": rel_ok,
         }
@@ -284,6 +276,11 @@ def cmd_classify(args) -> tuple[dict, bool]:
     else:
         report["families"] = [{"family": fam, "note": note} for fam, note in ws.finite_families]
         report["flags"] = ws.flags
+    incomplete = [br.name for br in ws.branches if not br.complete]
+    if incomplete:
+        # Irrational solutions may be missing, so the weight sets are not proven.
+        ok = False
+        report["incomplete_branches"] = incomplete
     identity_rows = [{"identity": label, "ok": bool(val)} for label, val in ws.identities]
     ok = ok and all(r["ok"] for r in identity_rows)
     report["identities"] = identity_rows
@@ -459,6 +456,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        # A crash must not read as a mathematical mismatch (exit code 1).
+        # traceback is imported here: it adds about 2 ms to every start-up.
+        import traceback
+
+        traceback.print_exc()
+        return INTERNAL_ERROR
     report["status"] = "pass" if ok else "fail"
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Q, binomial, frac
-from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, State
+from .arith import Q, frac
+from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, IterateAlgebra, State, expand_word
 
 
 class Quad:
@@ -101,66 +101,27 @@ class FFGenerator:
     conformal_weight: Fraction
 
 
-class FFState:
-    """Super-polynomial state over the free-field vacuum."""
+class FFState(State):
+    """Super-polynomial state over the free-field vacuum, coefficients in Q[sqrt(3)]."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    ring = Quad
+    lift = Quad
 
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict[tuple, Quad] = terms or {}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FFState) and self.terms == other.terms
-
-    def add_term(self, mono: tuple, coeff) -> None:
-        coeff = _quad(coeff)
-        if not coeff:
-            return
-        cur = self.terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[mono] = new
-        else:
-            del self.terms[mono]
-
-    def __add__(self, other: "FFState") -> "FFState":
-        out = FFState(dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out.add_term(mono, coeff)
-        return out
-
-    def __sub__(self, other: "FFState") -> "FFState":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "FFState":
-        factor = _quad(factor)
-        out = FFState()
-        if not factor:
-            return out
-        for mono, coeff in self.terms.items():
-            out.add_term(mono, coeff * factor)
-        return out
+    def __init__(self, terms: dict | None = None, base: str = VAC):
+        super().__init__(base, terms)
 
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda mono: (len(mono), mono))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in self.monomials_sorted():
-            word = "".join(f"{g}({n})" for g, n in mono) or "1"
-            parts.append(f"({self.terms[mono]})*{word}")
-        return " + ".join(parts)
 
-    __repr__ = __str__
+class FFAlgebra(IterateAlgebra):
+    """A free-field algebra given by generators and their scalar pairing.
 
+    Modes carry the product index, so ``product_mode(gen, j)`` is gen(j).
+    """
 
-class FFAlgebra:
-    """A free-field algebra given by generators and their scalar pairing."""
+    state_type = FFState
 
     def __init__(self, name: str, generators: list[FFGenerator], pairing):
         self.name = name
@@ -177,11 +138,11 @@ class FFAlgebra:
         gen, n = mode
         return self.generators[gen].conformal_weight - n - 1
 
-    def monomial_weight(self, mono) -> Fraction:
-        return sum((self.weight(m) for m in mono), Q(0))
+    def product_mode(self, gen: str, j: int):
+        return (gen, j)
 
-    def monomial_parity(self, mono) -> int:
-        return sum(self.parity(g) for g, _ in mono) % 2
+    def product_index(self, mode) -> int:
+        return mode[1]
 
     def _key(self, mode):
         return (self._rank[mode[0]], mode[1])
@@ -246,53 +207,9 @@ class FFAlgebra:
                 out = out + lifted.scaled(coeff)
         return out
 
-    # -- composite-state products ------------------------------------------
     def product(self, u: FFState, p: int, v: FFState) -> FFState:
         """The p-th product u_(p) v, exact with Koszul signs."""
-        out = FFState()
-        for umono, ucoeff in u.terms.items():
-            for vmono, vcoeff in v.terms.items():
-                part = self._mono_product(umono, p, vmono)
-                out = out + part.scaled(ucoeff * vcoeff)
-        return out
-
-    def _mono_product(self, umono: tuple, p: int, wmono: tuple) -> FFState:
-        key = (umono, p, wmono)
-        hit = self._action_memo.get(key)
-        if hit is not None:
-            return hit
-        if not umono:
-            result = FFState({wmono: Quad(1)}) if p == -1 else FFState()
-            self._action_memo[key] = result
-            return result
-        gen, m = umono[0]
-        rest = umono[1:]
-        rest_weight = self.monomial_weight(rest)
-        w_weight = self.monomial_weight(wmono)
-        wstate = FFState({wmono: Quad(1)})
-        result = FFState()
-        j = 0
-        while rest_weight + w_weight - (p + j) - 1 >= 0:
-            coeff = Q(-1) ** j * binomial(m, j)
-            if coeff:
-                inner = self._mono_product(rest, p + j, wmono)
-                if not inner.is_zero():
-                    result = result + self.apply_mode((gen, m - j), inner).scaled(coeff)
-            j += 1
-        koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
-        tail_sign = koszul * (1 if m % 2 else -1)
-        j = 0
-        while self.weight((gen, j)) + w_weight >= 0:
-            coeff = Q(-1) ** j * binomial(m, j) * tail_sign
-            if coeff:
-                hit_w = self.apply_mode((gen, j), wstate)
-                if not hit_w.is_zero():
-                    for mono2, c2 in hit_w.terms.items():
-                        part = self._mono_product(rest, m + p - j, mono2)
-                        result = result + part.scaled(coeff * c2)
-            j += 1
-        self._action_memo[key] = result
-        return result
+        return self._product(u, p, v)
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +398,7 @@ def push_state(emb: Embedding, algebra: BPAlgebra, s: State) -> FFState:
         raise ValueError("only vacuum states are pushed through embeddings")
     omega_words = []
     for mono, coeff in s.terms.items():
-        expansions = []
-        for gen, n in mono:
-            if algebra.convention == OMEGA:
-                expansions.append([((gen, n), Q(1))])
-            elif gen == L:
-                expansions.append([((L, n), Q(1)), ((J, n), -Q(n + 1, 2))])
-            elif gen == GM:
-                expansions.append([((GM, n + 1), Q(1))])
-            else:
-                expansions.append([((gen, n), Q(1))])
-        words = [((), coeff.const_value())]
-        for options in expansions:
-            words = [(w + (md,), c * c2) for w, c in words for md, c2 in options]
-        omega_words.extend(words)
+        omega_words.extend(expand_word(mono, algebra.convention, OMEGA, coeff.const_value()))
     out = FFState()
     for word, coeff in omega_words:
         cur = emb.algebra.vacuum()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 import re
 
 from .arith import Poly2, Q, binomial, frac
@@ -67,6 +68,30 @@ def _mode_key(m: Mode):
     return (_RANK[m[0]], -m[1])
 
 
+def substitute(m: Mode, source: str, target: str) -> list:
+    """A ``source``-convention mode as (target mode, coefficient) pairs.
+
+    The bar modes are L(n) = L_n - (n+1)/2 J_n and G-(n) = G-_{n+1} in terms
+    of the omega modes; J and G+ agree.  This table is the only place the
+    two gradings meet.
+    """
+    gen, n = m
+    if source == target or gen in (J, GP):
+        return [(m, Q(1))]
+    sign = 1 if source == BAR else -1
+    if gen == L:
+        return [((L, n), Q(1)), ((J, n), -sign * Q(n + 1, 2))]
+    return [((GM, n + sign), Q(1))]
+
+
+def expand_word(word, source: str, target: str, coeff) -> list:
+    """``coeff * word`` under :func:`substitute`, as (target word, coefficient) pairs."""
+    words = [((), coeff)]
+    for m in word:
+        words = [(w + (md,), c * c2) for w, c in words for md, c2 in substitute(m, source, target)]
+    return words
+
+
 @dataclass
 class Bracket:
     """Exact commutator [a, b] of two generator modes.
@@ -84,16 +109,23 @@ class Bracket:
 
 
 class State:
-    """Sparse Q[x,y]-combination of canonical PBW monomials over a base tag."""
+    """Sparse combination of canonical PBW monomials over a base tag.
+
+    Coefficients lie in ``ring`` (Q[x,y] here); ``lift`` maps scalars into
+    it.  Subclasses change the ring and the display order only, so generic
+    code builds states with keyword arguments: ``type(s)(base=..., terms=...)``.
+    """
 
     __slots__ = ("base", "terms")
+    ring = Poly2
+    lift = staticmethod(Poly2.const)
 
     def __init__(self, base: str, terms: dict | None = None):
         self.base = base
-        self.terms: dict[tuple, Poly2] = terms or {}
+        self.terms: dict = terms or {}
 
     def copy(self) -> "State":
-        return State(self.base, dict(self.terms))
+        return type(self)(base=self.base, terms=dict(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,8 +141,8 @@ class State:
         return hash((self.base, frozenset(self.terms.items())))
 
     def add_term(self, mono: tuple, coeff) -> None:
-        if not isinstance(coeff, Poly2):
-            coeff = Poly2.const(coeff)
+        if not isinstance(coeff, self.ring):
+            coeff = self.lift(coeff)
         if not coeff:
             return
         cur = self.terms.get(mono)
@@ -132,9 +164,9 @@ class State:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "State":
-        if not isinstance(factor, Poly2):
-            factor = Poly2.const(factor)
-        out = State(self.base)
+        if not isinstance(factor, self.ring):
+            factor = self.lift(factor)
+        out = type(self)(base=self.base)
         if not factor:
             return out
         for mono, coeff in self.terms.items():
@@ -144,8 +176,8 @@ class State:
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda mono: (len(mono), [_mode_key(m) for m in mono]))
 
-    def coefficient(self, mono: tuple) -> Poly2:
-        return self.terms.get(tuple(mono), Poly2())
+    def coefficient(self, mono: tuple):
+        return self.terms.get(tuple(mono), self.lift(0))
 
     def __str__(self):
         tag = "1" if self.base == VAC else "v(x,y)"
@@ -174,7 +206,74 @@ class State:
         return s
 
 
-class BPAlgebra:
+class IterateAlgebra:
+    """Modes of composite states through the Borcherds iterate recursion.
+
+    For a monomial a u with head generator a,
+        (a_(m) u)_(p) = sum_j (-1)^j C(m, j) (a_(m-j) u_(p+j)
+                        - (-1)^(m + |a||u|) u_(m+p-j) a_(j))
+    (Kac, Vertex Algebras for Beginners, 4.8), truncated where the module
+    weights vanish.  Subclasses supply ``state_type``, an ``_action_memo``
+    dict and the hooks ``product_mode(gen, j)`` (the mode acting as the j-th
+    product of the generator state), its inverse ``product_index(mode)``,
+    ``parity(gen)``, ``weight(mode)`` and ``apply_mode(mode, state)``.
+    """
+
+    state_type = State
+
+    def monomial_weight(self, mono: tuple) -> Fraction:
+        return sum((self.weight(m) for m in mono), Q(0))
+
+    def monomial_parity(self, mono: tuple) -> int:
+        return sum(self.parity(g) for g, _ in mono) % 2
+
+    def _product(self, u: State, p: int, w: State) -> State:
+        out = self.state_type(base=w.base)
+        for umono, ucoeff in u.terms.items():
+            for wmono, wcoeff in w.terms.items():
+                part = self._mono_product(umono, p, wmono, w.base)
+                out = out + part.scaled(ucoeff * wcoeff)
+        return out
+
+    def _mono_product(self, umono: tuple, p: int, wmono: tuple, base: str) -> State:
+        key = (umono, p, wmono, base)
+        memo = self._action_memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        wstate = self.state_type(base=base)
+        wstate.add_term(wmono, 1)
+        if not umono:
+            result = wstate if p == -1 else self.state_type(base=base)
+            memo[key] = result
+            return result
+        head, rest = umono[0], umono[1:]
+        gen, m = head[0], self.product_index(head)
+        w_weight = self.monomial_weight(wmono)
+        result = self.state_type(base=base)
+        # Head sum: a_(m-j) (rest_(p+j) w).  x_(n) w has weight
+        # wt(x) + wt(w) - n - 1 and vanishes when that is negative.
+        for j in range(math.floor(self.monomial_weight(rest) + w_weight - p)):
+            coeff = Q(-1) ** j * binomial(m, j)
+            if coeff:
+                inner = self._mono_product(rest, p + j, wmono, base)
+                if not inner.is_zero():
+                    result = result + self.apply_mode(self.product_mode(gen, m - j), inner).scaled(coeff)
+        # Tail sum: rest_(m+p-j) (a_(j) w); a_(j) w has weight
+        # weight(product_mode(gen, j)) + wt(w), one less for each step in j.
+        koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
+        tail_sign = koszul * (1 if m % 2 else -1)
+        for j in range(math.floor(self.weight(self.product_mode(gen, 0)) + w_weight) + 1):
+            coeff = Q(-1) ** j * binomial(m, j) * tail_sign
+            if coeff:
+                for mono2, c2 in self.apply_mode(self.product_mode(gen, j), wstate).terms.items():
+                    part = self._mono_product(rest, m + p - j, mono2, base)
+                    result = result + part.scaled(coeff * c2)
+        memo[key] = result
+        return result
+
+
+class BPAlgebra(IterateAlgebra):
     """The mode algebra at a fixed rational level, in one index convention."""
 
     def __init__(self, k, convention: str = BAR):
@@ -205,9 +304,6 @@ class BPAlgebra:
     @staticmethod
     def charge(m: Mode) -> int:
         return {J: 0, L: 0, GP: 1, GM: -1}[m[0]]
-
-    def monomial_weight(self, mono: tuple) -> Fraction:
-        return sum((self.weight(m) for m in mono), Q(0))
 
     def monomial_charge(self, mono: tuple) -> int:
         return sum(self.charge(m) for m in mono)
@@ -297,28 +393,6 @@ class BPAlgebra:
             scalar=-flipped.scalar,
         )
 
-    def _to_omega(self, m: Mode):
-        """A convention mode as an affine combination of omega modes."""
-        gen, n = m
-        if self.convention == OMEGA:
-            return [((gen, n), Q(1))]
-        if gen == L:
-            return [((L, n), Q(1)), ((J, n), -Q(n + 1, 2))]
-        if gen == GM:
-            return [((GM, n + 1), Q(1))]
-        return [((gen, n), Q(1))]
-
-    def _from_omega_linear(self, m: Mode):
-        """An omega mode as an affine combination of this convention's modes."""
-        gen, n = m
-        if self.convention == OMEGA:
-            return [((gen, n), Q(1))]
-        if gen == L:
-            return [((L, n), Q(1)), ((J, n), Q(n + 1, 2))]
-        if gen == GM:
-            return [((GM, n - 1), Q(1))]
-        return [((gen, n), Q(1))]
-
     def bracket(self, a: Mode, b: Mode) -> Bracket:
         """[a, b] with both modes (and the result) in this convention."""
         if self.convention == OMEGA:
@@ -327,16 +401,16 @@ class BPAlgebra:
         linear_acc: dict[Mode, Fraction] = {}
         j2_acc: dict[int, Fraction] = {}
         scalar = Q(0)
-        for ma, ca in self._to_omega(a):
-            for mb, cb in self._to_omega(b):
+        for ma, ca in substitute(a, BAR, OMEGA):
+            for mb, cb in substitute(b, BAR, OMEGA):
                 piece = self._bracket_omega(ma, mb)
                 cc = ca * cb
                 scalar += cc * piece.scalar
                 for p, coeff in piece.j2:
                     j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
                 for md, coeff in piece.linear:
-                    for md2, conv in self._from_omega_linear(md):
-                        linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * conv
+                    for md2, c2 in substitute(md, OMEGA, BAR):
+                        linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
         out.scalar = scalar
         out.j2 = sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])
         out.linear = sorted(
@@ -362,33 +436,36 @@ class BPAlgebra:
                 out.add_term(mono2, coeff * c2)
         return out
 
-    def apply_bracket(self, br: Bracket, s: State) -> State:
+    def apply_bracket(self, br: Bracket, s: State, act=None) -> State:
+        """Apply a bracket result to s, each mode acting through ``act``
+        (default :meth:`apply_mode`)."""
+        act = act or self.apply_mode
         out = s.scaled(br.scalar) if br.scalar else State(s.base)
         for md, coeff in br.linear:
-            out = out + self.apply_mode(md, s).scaled(coeff)
+            out = out + act(md, s).scaled(coeff)
         for p, coeff in br.j2:
-            out = out + self.apply_j2(p, s).scaled(coeff)
+            out = out + self.apply_j2(p, s, act).scaled(coeff)
         return out
 
-    def apply_j2(self, p: int, s: State) -> State:
+    def apply_j2(self, p: int, s: State, act=None) -> State:
         """(J^2)_p s with the normal-ordered splitting.
 
         (J^2)_p = sum_{j<=-1} J_j J_{p-j} + sum_{j>=0} J_{p-j} J_j, truncated
         to the finitely many terms that act nonzero on s.  This exact
-        splitting is required to reproduce the printed bracket table.
+        splitting is required to reproduce the printed bracket table.  J
+        modes have weight -index in either convention, so J_q kills s for q
+        above its top weight; the spectral flow changes J only at J_0, so the
+        same window serves an ``act`` that applies flowed modes.
         """
+        act = act or self.apply_mode
         out = State(s.base)
         if s.is_zero():
             return out
-        maxw = max(self.monomial_weight(m) for m in s.terms)
-        # J modes have weight -index in either convention.
-        jmin = p - int(maxw)
-        for j in range(jmin, 0):
-            inner = self.apply_mode((J, p - j), s)
-            out = out + self.apply_mode((J, j), inner)
-        for j in range(0, int(maxw) + 1):
-            inner = self.apply_mode((J, j), s)
-            out = out + self.apply_mode((J, p - j), inner)
+        maxw = int(max(self.monomial_weight(m) for m in s.terms))
+        for j in range(p - maxw, 0):
+            out = out + act((J, j), act((J, p - j), s))
+        for j in range(0, maxw + 1):
+            out = out + act((J, p - j), act((J, j), s))
         return out
 
     def _insert(self, m: Mode, mono: tuple, base: str) -> dict:
@@ -442,30 +519,9 @@ class BPAlgebra:
             return s.copy()
         out = State(VAC)
         for mono, coeff in s.terms.items():
-            expansions = [self._cross_convert_mode(m, target) for m in mono]
-            words = [((), Q(1))]
-            for options in expansions:
-                words = [
-                    (word + (md,), c * c2) for word, c in words for md, c2 in options
-                ]
-            for word, c in words:
-                out = out + target.normal_form(word, coeff=coeff * c)
+            for word, c in expand_word(mono, self.convention, target.convention, coeff):
+                out = out + target.normal_form(word, coeff=c)
         return out
-
-    def _cross_convert_mode(self, m: Mode, target: "BPAlgebra"):
-        gen, n = m
-        if target.convention == BAR:  # self is omega
-            if gen == L:
-                return [((L, n), Q(1)), ((J, n), Q(n + 1, 2))]
-            if gen == GM:
-                return [((GM, n - 1), Q(1))]
-            return [((gen, n), Q(1))]
-        # self is bar, target omega
-        if gen == L:
-            return [((L, n), Q(1)), ((J, n), -Q(n + 1, 2))]
-        if gen == GM:
-            return [((GM, n + 1), Q(1))]
-        return [((gen, n), Q(1))]
 
     # ------------------------------------------------------------------
     # Spectral flow
@@ -489,106 +545,37 @@ class BPAlgebra:
 
     def apply_spectral_flow_op(self, m: Mode, s: State) -> State:
         combo, scalar = self.spectral_flow_mode(m)
-        out = s.scaled(scalar) if scalar else State(s.base)
-        for md, coeff in combo:
-            out = out + self.apply_mode(md, s).scaled(coeff)
-        return out
+        return self.apply_bracket(Bracket(linear=combo, scalar=scalar), s)
 
     def apply_spectral_flow_bracket(self, br: Bracket, s: State) -> State:
         """Apply the spectral-flow image of a bracket result to a state."""
-        out = s.scaled(br.scalar) if br.scalar else State(s.base)
-        for md, coeff in br.linear:
-            out = out + self.apply_spectral_flow_op(md, s).scaled(coeff)
-        for p, coeff in br.j2:
-            out = out + self._apply_j2_flowed(p, s).scaled(coeff)
-        return out
-
-    def _apply_j2_flowed(self, p: int, s: State) -> State:
-        # Same splitting as apply_j2 with each J_q replaced by its flow image.
-        out = State(s.base)
-        if s.is_zero():
-            return out
-        maxw = max(self.monomial_weight(m) for m in s.terms)
-        jmin = p - int(maxw) - 1
-        for j in range(jmin, 0):
-            inner = self.apply_spectral_flow_op((J, p - j), s)
-            out = out + self.apply_spectral_flow_op((J, j), inner)
-        for j in range(0, int(maxw) + 2):
-            inner = self.apply_spectral_flow_op((J, j), s)
-            out = out + self.apply_spectral_flow_op((J, p - j), inner)
-        return out
+        return self.apply_bracket(br, s, self.apply_spectral_flow_op)
 
     # ------------------------------------------------------------------
-    # Modes of composite states (Borcherds iterate recursion)
+    # Modes of composite states (hooks of the iterate recursion)
     # ------------------------------------------------------------------
-    def _gen_shift(self, gen: str) -> int:
-        """Product-index shift of a generator state's modes.
+    def parity(self, gen: str) -> int:
+        """All four generators are even: no Koszul signs."""
+        return 0
 
-        For the weight-one generators the p-th product mode is gen(p); for
-        the weight-two generators it is gen(p-1).
+    def product_mode(self, gen: str, j: int) -> Mode:
+        """The mode acting as the j-th product of the generator state.
+
+        For the weight-one generators it is gen(j); for the weight-two
+        generators it is gen(j-1).
         """
         if self.convention != BAR:
             raise ValueError("composite mode actions are implemented for the bar convention")
-        return 1 if gen in (L, GM) else 0
+        return (gen, j - 1 if gen in (L, GM) else j)
+
+    def product_index(self, m: Mode) -> int:
+        return m[1] - self.product_mode(m[0], 0)[1]
 
     def state_product_action(self, u: State, p: int, w: State) -> State:
         """The p-th product mode of the vacuum state u, applied to w."""
         if u.base != VAC:
             raise ValueError("the acting state must live over the vacuum")
-        out = State(w.base)
-        for umono, ucoeff in u.terms.items():
-            for wmono, wcoeff in w.terms.items():
-                part = self._mono_product_action(umono, p, wmono, w.base)
-                out = out + part.scaled(ucoeff * wcoeff)
-        return out
-
-    def _mono_product_action(self, umono: tuple, p: int, wmono: tuple, base: str) -> State:
-        """Iterate recursion (a_(m) b)_(p) = sum_j (-1)^j C(m,j)
-        (a_(m-j) b_(p+j) - (-1)^m b_(m+p-j) a_(j)) on the head of umono."""
-        key = (umono, p, wmono, base)
-        memo = self._action_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not umono:
-            if p == -1:
-                result = State(base, {wmono: Poly2.const(1)})
-            else:
-                result = State(base)
-            memo[key] = result
-            return result
-        gen, n = umono[0]
-        s = self._gen_shift(gen)
-        m = n + s
-        rest = umono[1:]
-        rest_weight = self.monomial_weight(rest)
-        w_weight = self.monomial_weight(wmono)
-        wstate = State(base, {wmono: Poly2.const(1)})
-        result = State(base)
-        # Head sum: gen(n-j) (rest_(p+j) w), truncated by module weights.
-        j = 0
-        while rest_weight + w_weight - (p + j) - 1 >= 0:
-            coeff = Q(-1) ** j * binomial(m, j)
-            if coeff:
-                inner = self._mono_product_action(rest, p + j, wmono, base)
-                if not inner.is_zero():
-                    result = result + self.apply_mode((gen, n - j), inner).scaled(coeff)
-            j += 1
-        # Tail sum: -(-1)^m rest_(m+p-j) (gen(j-s) w), truncated where
-        # gen(j-s) kills w.
-        tail_sign = Q(1) if m % 2 else Q(-1)
-        for j in range(0, int(w_weight) + s + 1):
-            coeff = Q(-1) ** j * binomial(m, j) * tail_sign
-            if not coeff:
-                continue
-            hit_w = self.apply_mode((gen, j - s), wstate)
-            if hit_w.is_zero():
-                continue
-            for mono2, c2 in hit_w.terms.items():
-                part = self._mono_product_action(rest, m + p - j, mono2, base)
-                result = result + part.scaled(coeff * c2)
-        memo[key] = result
-        return result
+        return self._product(u, p, w)
 
 
 def level_pair(k) -> tuple[BPAlgebra, BPAlgebra]:

@@ -8,9 +8,11 @@ copy of the data.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 import json
+from typing import NamedTuple
 
 from .arith import Poly2, Q, frac
 from .modes import BPAlgebra, State, parse_mode
@@ -75,14 +77,37 @@ def omega3_bar(algebra=None) -> State:
     return table_state("omega3_bar", algebra)
 
 
-def singular_vector_bar(k) -> State | None:
-    """The known low-weight singular vector at a supported rational level."""
-    k = frac(k)
-    if k == Q(-5, 3):
-        return omega4_bar()
-    if k == Q(-9, 4):
-        return omega3_bar()
+def singular_table_name(level, weight, charge: int, convention: str) -> str | None:
+    """The golden table of the singular vector at this configuration, if any.
+
+    Every table holds a charge-zero vector.
+    """
+    for name, entry in golden_tables().items():
+        key = (frac(entry["level"]), frac(entry["weight"]), entry["convention"])
+        if charge == 0 and key == (level, weight, convention):
+            return name
     return None
+
+
+class RationalLevel(NamedTuple):
+    """The Smith relation E^power (Y - y0) = 0 at a rational level.
+
+    ``singular`` names the golden singular vector (bar grading) that yields
+    it, ``projection`` its zero-mode projection and ``relation`` the relation
+    word, both in ``zhu.json``.
+    """
+
+    singular: str
+    projection: str
+    relation: str
+    power: int
+    y0: Fraction
+
+
+RATIONAL_LEVELS = {
+    Q(-5, 3): RationalLevel("omega4_bar", "U", "smith_relation_5_3", 2, Q(-1, 9)),
+    Q(-9, 4): RationalLevel("omega3_bar", "V", "smith_relation_9_4", 1, Q(-1, 2)),
+}
 
 
 def golden_poly(name: str) -> Poly2:

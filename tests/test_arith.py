@@ -68,6 +68,11 @@ def test_poly2_subst_and_eval():
     assert p.eval(3, 2) == 7
     q = p.subst(POLY_X + 1, POLY_Y - POLY_X)
     assert q.eval(2, 5) == (2 + 1) ** 2 - (5 - 2)
+    assert p.specialize("x", 3) == Poly1([9, -1], var="y")
+    assert p.specialize("y", Q(1, 2)) == Poly1([Q(-1, 2), 0, 1], var="x")
+    r = 2 * POLY_X * POLY_Y**2 + POLY_Y
+    for xv, yv in ((0, 0), (Q(-1, 3), 2), (5, Q(7, 4))):
+        assert r.specialize("x", xv).eval(yv) == r.eval(xv, yv) == r.specialize("y", yv).eval(xv)
 
 
 def test_poly2_json_roundtrip():
@@ -106,10 +111,9 @@ def test_rational_roots_multiplicity_and_resubstitution():
 def test_rational_roots_boundary_quartic():
     """The quartic cutting out the boundary-line weights at level -5/3."""
     from bpalgebra.classify import projection_filter
-    from bpalgebra.classify import _poly_at_fixed_y
 
     filt = projection_filter(Q(-5, 3))
-    quartic = _poly_at_fixed_y(filt, Q(-1, 9))
+    quartic = filt.specialize("y", Q(-1, 9))
     roots, cof = rational_roots(quartic)
     assert set(roots) == {Q(1, 9), Q(4, 9), Q(7, 9), Q(-1, 18)}
     assert cof.is_const()

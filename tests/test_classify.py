@@ -12,9 +12,9 @@ from bpalgebra.classify import (
     projection_filter,
     solve_system,
 )
-from bpalgebra.tables import golden_classify
+from bpalgebra.tables import RATIONAL_LEVELS, golden_classify, golden_zhu
 from bpalgebra.weightspace import contragredient_weight, spectral_flow_weight
-from bpalgebra.zhu import h_poly
+from bpalgebra.zhu import SmithAlgebra, SmithWord, h_poly
 
 
 def fr_pairs(pairs):
@@ -44,6 +44,7 @@ def test_classify_level_5_3():
     excluded = sorted({w for br in ws.branches for (w, _) in br.excluded})
     assert excluded == sorted(fr_pairs(golden["excluded"]))
     assert all(ok for _, ok in ws.identities)
+    assert all(br.complete for br in ws.branches)
     by_name = {br.name: br for br in ws.branches}
     assert by_name["dim1-generic"].solutions == [(Q(-1, 9), Q(0))]
     assert by_name["dim1-to-dim2"].solutions == [(Q(-4, 9), Q(1, 3))]
@@ -61,6 +62,20 @@ def test_classify_level_9_4():
     assert ws.finite_top == fr_pairs(golden["finite_top"])
     assert ws.infinite_top == fr_pairs(golden["infinite_top"])
     assert all(ok for _, ok in ws.identities)
+    assert [br.name for br in ws.branches] == ["dim1-generic", "dim1-diagonal", "boundary-y"]
+    assert all(br.complete for br in ws.branches)
+
+
+@pytest.mark.parametrize("level", sorted(RATIONAL_LEVELS))
+def test_rational_level_table_matches_golden_relation(level):
+    """The golden relation word is c * E^power * (Y - y0) for the table's power and y0."""
+    data = RATIONAL_LEVELS[level]
+    sm = SmithAlgebra(level)
+    word = SmithWord.from_json(sm, golden_zhu()[data.relation]["word"])
+    assert golden_zhu()[data.relation]["power"] == data.power
+    (key, poly), = word.terms.items()
+    assert key == (0, data.power)
+    assert poly == poly.coeff_of("y", 1) * (POLY_Y - data.y0)
 
 
 def test_classify_minus_one_parabola():

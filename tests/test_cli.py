@@ -1,8 +1,20 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from bpalgebra.cli import main
+
+_BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _suites() -> dict:
+    """The ten README suites, as the benchmark runs them (name -> argv)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SUITES
 
 
 def run(capsys, *argv):
@@ -126,3 +138,38 @@ def test_mathematical_mismatch_exits_1(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("name, argv", sorted(_suites().items()))
+def test_suite_json_is_byte_identical_to_reference(capsys, name, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (_BENCH / "reference" / f"{name}.json").read_text()
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    """An uncaught exception is neither a pass nor a mathematical mismatch."""
+    import bpalgebra.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "zhu", crash)
+    code, out, err = run(capsys, "zhu", "--level", "-5/3")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_incomplete_classification_branch_exits_1(capsys, monkeypatch):
+    """A branch whose elimination may miss irrational solutions fails the suite."""
+    import bpalgebra.classify as classify
+
+    solve = classify.solve_system
+    monkeypatch.setattr(classify, "solve_system", lambda p, q: (solve(p, q)[0], False))
+    code, out, _ = run(capsys, "classify", "--level", "-5/3", "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["status"] == "fail"
+    assert data["golden_match"] is True
+    assert data["incomplete_branches"] == ["dim1-generic", "dim1-to-dim2", "dim2-to-dim1", "dim2-to-dim2"]
