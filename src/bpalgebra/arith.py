@@ -52,6 +52,16 @@ def binomial(n, j: int):
     return num * Fraction(1, den)
 
 
+def join_signed(parts: list) -> str:
+    """Signed term strings as one sum: "a", "-b", "c" give "a - b + c"."""
+    if not parts:
+        return "0"
+    text = parts[0]
+    for part in parts[1:]:
+        text += " - " + part[1:] if part.startswith("-") else " + " + part
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Bivariate polynomials
 # ---------------------------------------------------------------------------
@@ -226,8 +236,6 @@ class Poly2:
         return sorted(self.c.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
 
     def __str__(self):
-        if not self.c:
-            return "0"
         parts = []
         for (i, j), val in self.terms_sorted():
             mono = "*".join(
@@ -235,20 +243,14 @@ class Poly2:
                 + ([f"y^{j}" if j > 1 else "y"] if j else [])
             )
             if not mono:
-                body = str(val)
+                parts.append(str(val))
             elif val == 1:
-                body = mono
+                parts.append(mono)
             elif val == -1:
-                body = f"-{mono}"
+                parts.append(f"-{mono}")
             else:
-                body = f"{val}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append("+ " + body)
-            elif parts:
-                parts.append("- " + body[1:])
-            else:
-                parts.append(body)
-        return " ".join(parts)
+                parts.append(f"{val}*{mono}")
+        return join_signed(parts)
 
     __repr__ = __str__
 
@@ -376,25 +378,17 @@ class Poly1:
         return Poly1(quot, var=self.var), Poly1(rem, var=self.var)
 
     def __str__(self):
-        if not self.a:
-            return "0"
         parts = []
         for d in range(len(self.a) - 1, -1, -1):
             val = self.a[d]
             if not val:
                 continue
             if d == 0:
-                body = str(val)
+                parts.append(str(val))
             else:
                 mono = self.var if d == 1 else f"{self.var}^{d}"
-                body = mono if val == 1 else (f"-{mono}" if val == -1 else f"{val}*{mono}")
-            if parts and not body.startswith("-"):
-                parts.append("+ " + body)
-            elif parts:
-                parts.append("- " + body[1:])
-            else:
-                parts.append(body)
-        return " ".join(parts)
+                parts.append(mono if val == 1 else (f"-{mono}" if val == -1 else f"{val}*{mono}"))
+        return join_signed(parts)
 
     __repr__ = __str__
 

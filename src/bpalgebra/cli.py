@@ -326,8 +326,8 @@ def cmd_freefield(args) -> tuple[dict, bool]:
         dim_ff = dims.get((Q(4), Q(0)), 0)
         dim_bp = len(enumerate_basis(om_eng, VAC, 4, 0))
         ok = ok and dim_ff == 12 and dim_bp == 13
-        hw_plus = hw_weight_of(emb, emb.algebra.gen_state("a+"))
-        hw_minus = hw_weight_of(emb, emb.algebra.gen_state("a-"))
+        hw_plus = hw_weight_of(emb, emb.algebra.normal_form([("a+", -1)]))
+        hw_minus = hw_weight_of(emb, emb.algebra.normal_form([("a-", -1)]))
         ok = ok and hw_plus == (Q(1, 3), Q(1, 3)) and hw_minus == (Q(-1, 3), Q(2, 3))
         report.update(
             {
@@ -453,6 +453,12 @@ def main(argv=None) -> int:
     try:
         _weight_bound()
         report, ok = _COMMANDS[args.command](args)
+        report["status"] = "pass" if ok else "fail"
+        # Rendered before printing, so a failed rendering prints no partial report.
+        if args.format == "json":
+            text = json.dumps(report, indent=2, sort_keys=True)
+        else:
+            text = _render_md(report, ok)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -463,11 +469,7 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return INTERNAL_ERROR
-    report["status"] = "pass" if ok else "fail"
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_md(report, ok))
+    print(text)
     return 0 if ok else 1
 
 

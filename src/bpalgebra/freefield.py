@@ -10,8 +10,10 @@ Two concrete free-field algebras are provided:
 
 All modes carry the n-th-product integer index; half-integer labels never
 appear.  Coefficients live in Q[sqrt(3)] so the fermionic normalization stays
-exact; every verified quantity ends up rational.  Composite states act through
-the same Borcherds iterate recursion as the mode engine, with Koszul signs.
+exact; every verified quantity ends up rational.  An algebra is given by its
+generators (parity and conformal weight) and the scalar pairing of two modes;
+normal ordering and the Borcherds iterate recursion for composite states are
+those of :class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Q, frac
-from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, IterateAlgebra, State, expand_word
+from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, State, expand_word
 
 
 class Quad:
@@ -108,17 +110,17 @@ class FFState(State):
     ring = Quad
     lift = Quad
 
-    def __init__(self, terms: dict | None = None, base: str = VAC):
-        super().__init__(base, terms)
-
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda mono: (len(mono), mono))
 
 
-class FFAlgebra(IterateAlgebra):
+class FFAlgebra(ModeAlgebra):
     """A free-field algebra given by generators and their scalar pairing.
 
     Modes carry the product index, so ``product_mode(gen, j)`` is gen(j).
+    Normal ordering is :class:`ModeAlgebra`'s: the modes with index <= -1
+    create on the vacuum, in generator order and then by index, and the
+    pairing is the (super)commutator of two modes.
     """
 
     state_type = FFState
@@ -144,63 +146,24 @@ class FFAlgebra(IterateAlgebra):
     def product_index(self, mode) -> int:
         return mode[1]
 
-    def _key(self, mode):
+    def mode_key(self, mode):
         return (self._rank[mode[0]], mode[1])
 
-    def vacuum(self) -> FFState:
-        s = FFState()
-        s.add_term((), 1)
-        return s
+    def is_creation(self, mode, base: str) -> bool:
+        return mode[1] <= -1
 
-    def gen_state(self, gen: str, coeff=1) -> FFState:
-        s = FFState()
-        s.add_term(((gen, -1),), coeff)
-        return s
+    def base_action(self, mode, base: str) -> Quad:
+        return Quad()  # every non-creation mode kills the vacuum
 
-    def apply_mode(self, mode, s: FFState) -> FFState:
-        out = FFState()
-        for mono, coeff in s.terms.items():
-            for mono2, c2 in self._insert(mode, mono).items():
-                out.add_term(mono2, coeff * c2)
-        return out
-
-    def _insert(self, mode, mono: tuple) -> dict:
-        key = (mode, mono)
-        hit = self._insert_memo.get(key)
-        if hit is not None:
-            return hit
-        gen, n = mode
-        if not mono:
-            result = {} if n >= 0 else {(mode,): Quad(1)}
-        elif n <= -1 and self._key(mode) <= self._key(mono[0]):
-            if mode == mono[0] and self.parity(gen):
-                result = {}  # odd modes square to zero
-            else:
-                result = {(mode,) + mono: Quad(1)}
-        else:
-            head, rest = mono[0], mono[1:]
-            sign = -1 if self.parity(gen) and self.parity(head[0]) else 1
-            rest_state = FFState({rest: Quad(1)})
-            moved = self.apply_mode(head, self.apply_mode(mode, rest_state)).scaled(sign)
-            pair = self._pairing(mode, head)
-            if pair:
-                moved = moved + rest_state.scaled(pair)
-            result = dict(moved.terms)
-        self._insert_memo[key] = result
-        return result
-
-    def normal_form(self, word, coeff=1) -> FFState:
-        s = self.vacuum().scaled(coeff)
-        for mode in reversed(list(word)):
-            s = self.apply_mode(mode, s)
-        return s
+    def commutator(self, mode, head, rest_state: FFState) -> FFState:
+        return rest_state.scaled(self._pairing(mode, head))
 
     def translate(self, s: FFState) -> FFState:
         """The translation operator D: [D, x_(n)] = -n x_(n-1), D(vacuum) = 0."""
         out = FFState()
         for mono, coeff in s.terms.items():
             for i, (gen, n) in enumerate(mono):
-                rest = FFState({mono[i + 1:]: Quad(1)})
+                rest = FFState(terms={mono[i + 1:]: Quad(1)})
                 lifted = self.apply_mode((gen, n - 1), rest).scaled(-n)
                 for j in range(i - 1, -1, -1):
                     lifted = self.apply_mode(mono[j], lifted)
@@ -209,6 +172,7 @@ class FFAlgebra(IterateAlgebra):
 
     def product(self, u: FFState, p: int, v: FFState) -> FFState:
         """The p-th product u_(p) v, exact with Koszul signs."""
+        # A named layer of the benchmark tracer, which wraps FFAlgebra.__dict__.
         return self._product(u, p, v)
 
 
@@ -323,7 +287,7 @@ def expected_products(emb: Embedding) -> list:
     alg = emb.algebra
     lam = (2 * k + 3) / 3
     jimg, om, gp, gm = emb.images[J], emb.images["T"], emb.images[GP], emb.images[GM]
-    vac = alg.vacuum()
+    vac = alg.unit()
     zero = FFState()
     dj = alg.translate(jimg)
     jj = alg.product(jimg, -1, jimg)
@@ -401,7 +365,7 @@ def push_state(emb: Embedding, algebra: BPAlgebra, s: State) -> FFState:
         omega_words.extend(expand_word(mono, algebra.convention, OMEGA, coeff.const_value()))
     out = FFState()
     for word, coeff in omega_words:
-        cur = emb.algebra.vacuum()
+        cur = emb.algebra.unit()
         for gen, n in reversed(word):
             if gen == L:
                 cur = emb.algebra.product(emb.images["T"], n + 1, cur)
@@ -488,8 +452,8 @@ def weyl_charge_decomposition(max_weight) -> dict:
 def clifford_sf_embedding_checks() -> list:
     """b = -D(Psi+), c = Psi- satisfy the symplectic-fermion data inside F."""
     f = fermionic_algebra()
-    psi_p = f.gen_state("P+")
-    psi_m = f.gen_state("P-")
+    psi_p = f.normal_form([("P+", -1)])
+    psi_m = f.normal_form([("P-", -1)])
     b = f.translate(psi_p).scaled(-1)
     cgen = psi_m
     alpha = f.product(psi_p, -1, psi_m)
@@ -497,7 +461,7 @@ def clifford_sf_embedding_checks() -> list:
     # :bc: with the same odd-field ordering used by the realization.
     omega_sf_image = f.product(cgen, -1, b)
     rows = [
-        ("b(1)c = 1", f.product(b, 1, cgen) == f.vacuum()),
+        ("b(1)c = 1", f.product(b, 1, cgen) == f.unit()),
         ("b(0)c = 0", f.product(b, 0, cgen).is_zero()),
         ("b(0)b = 0", f.product(b, 0, b).is_zero()),
         ("b(1)b = 0", f.product(b, 1, b).is_zero()),

@@ -18,6 +18,13 @@ applied to the vacuum or to a generic highest-weight vector v(x,y) with
 (J(0), L(0)) eigenvalues (x, y).  The canonical monomial order puts the
 generators in the order L < J < G+ < G- (the order used by the tables we
 reproduce) with non-increasing mode indices inside each generator block.
+
+:class:`State` is the one sparse combination type of the package and
+:class:`ModeAlgebra` the one normal-ordering engine: it inserts a mode into a
+canonical monomial by commuting it past the head, and computes modes of
+composite states by the Borcherds iterate recursion.  :class:`BPAlgebra`
+supplies the generators, the creation ranges and the brackets; the
+free-field algebras plug into the same engine.
 """
 
 from __future__ import annotations
@@ -112,15 +119,18 @@ class State:
     """Sparse combination of canonical PBW monomials over a base tag.
 
     Coefficients lie in ``ring`` (Q[x,y] here); ``lift`` maps scalars into
-    it.  Subclasses change the ring and the display order only, so generic
-    code builds states with keyword arguments: ``type(s)(base=..., terms=...)``.
+    it.  This is the one sparse combination type: the free-field states and
+    the Smith words are subclasses that change the ring, the base or the
+    display only, so generic code builds states with keyword arguments:
+    ``type(s)(base=..., terms=...)``.  States are mutable (``add_term``) and
+    therefore unhashable.
     """
 
     __slots__ = ("base", "terms")
     ring = Poly2
     lift = staticmethod(Poly2.const)
 
-    def __init__(self, base: str, terms: dict | None = None):
+    def __init__(self, base=VAC, terms: dict | None = None):
         self.base = base
         self.terms: dict = terms or {}
 
@@ -136,9 +146,6 @@ class State:
             and self.base == other.base
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.base, frozenset(self.terms.items())))
 
     def add_term(self, mono: tuple, coeff) -> None:
         if not isinstance(coeff, self.ring):
@@ -206,17 +213,32 @@ class State:
         return s
 
 
-class IterateAlgebra:
-    """Modes of composite states through the Borcherds iterate recursion.
+class ModeAlgebra:
+    """Normal ordering of modes, and modes of composite states.
 
-    For a monomial a u with head generator a,
+    A subclass fixes the generators through these hooks:
+
+    * ``is_creation(mode, base)`` -- whether the mode creates on the base;
+    * ``mode_key(mode)`` -- the canonical PBW order of creation modes;
+    * ``base_action(mode, base)`` -- the scalar by which a non-creation mode
+      acts on the bare base vector;
+    * ``commutator(mode, head, rest_state)`` -- the (super)commutator
+      [mode, head] applied to ``rest_state``;
+    * ``parity(gen)`` -- the Koszul sign of a swap; odd modes square to zero;
+    * ``weight(mode)``, ``product_mode(gen, j)`` (the mode acting as the j-th
+      product of the generator state) and its inverse ``product_index(mode)``
+      for the iterate recursion.
+
+    A subclass also sets ``state_type`` and creates the memo dicts
+    ``_insert_memo`` and ``_action_memo``.  Their values are shared between
+    results, so every method copies before it mutates.
+
+    Modes of composite states follow the Borcherds iterate recursion: for a
+    monomial a u with head generator a,
         (a_(m) u)_(p) = sum_j (-1)^j C(m, j) (a_(m-j) u_(p+j)
                         - (-1)^(m + |a||u|) u_(m+p-j) a_(j))
     (Kac, Vertex Algebras for Beginners, 4.8), truncated where the module
-    weights vanish.  Subclasses supply ``state_type``, an ``_action_memo``
-    dict and the hooks ``product_mode(gen, j)`` (the mode acting as the j-th
-    product of the generator state), its inverse ``product_index(mode)``,
-    ``parity(gen)``, ``weight(mode)`` and ``apply_mode(mode, state)``.
+    weights vanish.
     """
 
     state_type = State
@@ -226,6 +248,55 @@ class IterateAlgebra:
 
     def monomial_parity(self, mono: tuple) -> int:
         return sum(self.parity(g) for g, _ in mono) % 2
+
+    def unit(self, base: str = VAC) -> State:
+        s = self.state_type(base=base)
+        s.add_term((), 1)
+        return s
+
+    def apply_mode(self, m: Mode, s: State) -> State:
+        out = self.state_type(base=s.base)
+        for mono, coeff in s.terms.items():
+            for mono2, c2 in self._insert(m, mono, s.base).items():
+                out.add_term(mono2, coeff * c2)
+        return out
+
+    def _insert(self, m: Mode, mono: tuple, base: str) -> dict:
+        """``m`` applied to a canonical monomial, as {monomial: coefficient}."""
+        key = (m, mono, base)
+        memo = self._insert_memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        lift = self.state_type.lift
+        if not mono:
+            if self.is_creation(m, base):
+                result = {(m,): lift(1)}
+            else:
+                act = self.base_action(m, base)
+                result = {(): act} if act else {}
+        elif self.is_creation(m, base) and self.mode_key(m) <= self.mode_key(mono[0]):
+            if m == mono[0] and self.parity(m[0]):
+                result = {}  # odd modes square to zero
+            else:
+                result = {(m,) + mono: lift(1)}
+        else:
+            head, rest = mono[0], mono[1:]
+            rest_state = self.state_type(base=base, terms={rest: lift(1)})
+            swapped = self.apply_mode(head, self.apply_mode(m, rest_state))
+            if self.parity(m[0]) and self.parity(head[0]):
+                swapped = swapped.scaled(-1)
+            total = swapped + self.commutator(m, head, rest_state)
+            result = dict(total.terms)
+        memo[key] = result
+        return result
+
+    def normal_form(self, word, base: str = VAC, coeff=1) -> State:
+        """Canonical state for a mode word applied right-to-left to the base."""
+        s = self.unit(base).scaled(coeff)
+        for m in reversed(list(word)):
+            s = self.apply_mode(m, s)
+        return s
 
     def _product(self, u: State, p: int, w: State) -> State:
         out = self.state_type(base=w.base)
@@ -273,7 +344,7 @@ class IterateAlgebra:
         return result
 
 
-class BPAlgebra(IterateAlgebra):
+class BPAlgebra(ModeAlgebra):
     """The mode algebra at a fixed rational level, in one index convention."""
 
     def __init__(self, k, convention: str = BAR):
@@ -337,9 +408,10 @@ class BPAlgebra(IterateAlgebra):
     def is_creation(self, m: Mode, base: str) -> bool:
         return m[1] <= self.creation_bound(m[0], base)
 
-    def _base_action(self, m: Mode, base: str) -> Poly2:
+    mode_key = staticmethod(_mode_key)
+
+    def base_action(self, m: Mode, base: str) -> Poly2:
         """Action of a non-creation mode on the bare base vector."""
-        gen, n = m
         if base == VAC:
             return Poly2()
         if m == (J, 0):
@@ -421,20 +493,13 @@ class BPAlgebra(IterateAlgebra):
     # ------------------------------------------------------------------
     # Left action and normal ordering
     # ------------------------------------------------------------------
-    def zero(self, base: str = VAC) -> State:
-        return State(base)
+    # The shared bodies, bound here as well: the benchmark tracer wraps
+    # these layers through BPAlgebra.__dict__.
+    apply_mode = ModeAlgebra.apply_mode
+    normal_form = ModeAlgebra.normal_form
 
-    def unit(self, base: str = VAC) -> State:
-        s = State(base)
-        s.add_term((), 1)
-        return s
-
-    def apply_mode(self, m: Mode, s: State) -> State:
-        out = State(s.base)
-        for mono, coeff in s.terms.items():
-            for mono2, c2 in self._insert(m, mono, s.base).items():
-                out.add_term(mono2, coeff * c2)
-        return out
+    def commutator(self, m: Mode, head: Mode, rest_state: State) -> State:
+        return self.apply_bracket(self.bracket(m, head), rest_state)
 
     def apply_bracket(self, br: Bracket, s: State, act=None) -> State:
         """Apply a bracket result to s, each mode acting through ``act``
@@ -467,37 +532,6 @@ class BPAlgebra(IterateAlgebra):
         for j in range(0, maxw + 1):
             out = out + act((J, p - j), act((J, j), s))
         return out
-
-    def _insert(self, m: Mode, mono: tuple, base: str) -> dict:
-        key = (m, mono, base)
-        memo = self._insert_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            if self.is_creation(m, base):
-                result = {(m,): Poly2.const(1)}
-            else:
-                act = self._base_action(m, base)
-                result = {(): act} if act else {}
-        elif self.is_creation(m, base) and _mode_key(m) <= _mode_key(mono[0]):
-            result = {(m,) + mono: Poly2.const(1)}
-        else:
-            head, rest = mono[0], mono[1:]
-            rest_state = State(base, {rest: Poly2.const(1)})
-            swapped = self.apply_mode(head, self.apply_mode(m, rest_state))
-            correction = self.apply_bracket(self.bracket(m, head), rest_state)
-            total = swapped + correction
-            result = dict(total.terms)
-        memo[key] = result
-        return result
-
-    def normal_form(self, word, base: str = VAC, coeff=1) -> State:
-        """Canonical state for a mode word applied right-to-left to the base."""
-        s = self.unit(base).scaled(coeff)
-        for m in reversed(list(word)):
-            s = self.apply_mode(m, s)
-        return s
 
     def state_from_words(self, entries, base: str = VAC) -> State:
         """Sum of coeff * word(base) over (word, coeff) pairs."""
@@ -575,6 +609,7 @@ class BPAlgebra(IterateAlgebra):
         """The p-th product mode of the vacuum state u, applied to w."""
         if u.base != VAC:
             raise ValueError("the acting state must live over the vacuum")
+        # A named layer of the benchmark tracer, which wraps BPAlgebra.__dict__.
         return self._product(u, p, w)
 
 

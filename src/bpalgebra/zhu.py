@@ -16,7 +16,7 @@ projections of the singular vectors.
 
 from __future__ import annotations
 
-from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac
+from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, join_signed
 from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
 from .weightspace import top_vector
 
@@ -110,21 +110,21 @@ def zero_mode_poly(algebra: BPAlgebra, s: State, grading: str = OMEGA) -> Poly2:
 
 def zhu_star(algebra: BPAlgebra, a: State, b: State) -> State:
     """a * b = Res_z Y(a,z) (1+z)^{deg a} / z b, as an exact finite sum."""
-    _require_bar_vac(algebra, a, b)
-    d = algebra.state_weight(a)
-    out = State(VAC)
-    for j in range(int(d) + 1):
-        out = out + algebra.state_product_action(a, j - 1, b).scaled(binomial(int(d), j))
-    return out
+    return _zhu_product(algebra, a, b, 1)
 
 
 def zhu_circle(algebra: BPAlgebra, a: State, b: State) -> State:
     """a o b = Res_z Y(a,z) (1+z)^{deg a} / z^2 b; spans O(V)."""
+    return _zhu_product(algebra, a, b, 2)
+
+
+def _zhu_product(algebra: BPAlgebra, a: State, b: State, pole: int) -> State:
+    """Res_z Y(a,z) (1+z)^{deg a} / z^pole b: sum_j C(deg a, j) a_(j-pole) b."""
     _require_bar_vac(algebra, a, b)
     d = algebra.state_weight(a)
     out = State(VAC)
     for j in range(int(d) + 1):
-        out = out + algebra.state_product_action(a, j - 2, b).scaled(binomial(int(d), j))
+        out = out + algebra.state_product_action(a, j - pole, b).scaled(binomial(int(d), j))
     return out
 
 
@@ -148,12 +148,17 @@ class SmithAlgebra:
         self.g = g_poly(self.k)
         self._ef_memo: dict[tuple[int, int], "SmithWord"] = {}
 
+    def __eq__(self, other):
+        # The base of a SmithWord; cmd_zhu and ZhuReducer build separate
+        # instances at one level, and their words must compare equal.
+        return isinstance(other, SmithAlgebra) and self.k == other.k
+
     def zero(self) -> "SmithWord":
-        return SmithWord(self, {})
+        return SmithWord(self)
 
     def word(self, fpow: int, poly: Poly2, epow: int) -> "SmithWord":
-        out = SmithWord(self, {})
-        out._add((fpow, epow), poly)
+        out = SmithWord(self)
+        out.add_term((fpow, epow), poly)
         return out
 
     def one(self) -> "SmithWord":
@@ -188,51 +193,20 @@ class SmithAlgebra:
         return out
 
 
-class SmithWord:
-    """Normal form sum_{a,d} F^a p_{a,d}(X,Y) E^d."""
+class SmithWord(State):
+    """Normal form sum_{a,d} F^a p_{a,d}(X,Y) E^d.
 
-    __slots__ = ("algebra", "terms")
+    A :class:`State` keyed by (a, d) with Q[x,y] coefficients; its base is
+    the :class:`SmithAlgebra` that multiplies it.
+    """
 
-    def __init__(self, algebra: SmithAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def _add(self, key, poly: Poly2):
-        if not poly:
-            return
-        cur = self.terms.get(key)
-        new = poly if cur is None else cur + poly
-        if new:
-            self.terms[key] = new
-        else:
-            del self.terms[key]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, SmithWord) and self.terms == other.terms
-
-    def __add__(self, other: "SmithWord") -> "SmithWord":
-        out = SmithWord(self.algebra, dict(self.terms))
-        for key, poly in other.terms.items():
-            out._add(key, poly)
-        return out
-
-    def __sub__(self, other: "SmithWord") -> "SmithWord":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor) -> "SmithWord":
-        out = SmithWord(self.algebra, {})
-        for key, poly in self.terms.items():
-            out._add(key, poly * factor)
-        return out
+    __slots__ = ()
 
     def __mul__(self, other: "SmithWord") -> "SmithWord":
-        out = SmithWord(self.algebra, {})
+        out = SmithWord(self.base)
         for (a1, d1), p1 in self.terms.items():
             for (a2, d2), p2 in other.terms.items():
-                mid = self.algebra._ef_pow(d1, a2)
+                mid = self.base._ef_pow(d1, a2)
                 for (am, dm), pm in mid.terms.items():
                     # F^{a1} p1 (F^{am} pm E^{dm}) p2 E^{d2}
                     poly = (
@@ -240,11 +214,11 @@ class SmithWord:
                         * pm
                         * p2.subst(POLY_X - dm, POLY_Y)
                     )
-                    out._add((a1 + am, dm + d2), poly)
+                    out.add_term((a1 + am, dm + d2), poly)
         return out
 
     def __pow__(self, n: int) -> "SmithWord":
-        out = self.algebra.one()
+        out = self.base.one()
         for _ in range(n):
             out = out * self
         return out
@@ -264,9 +238,9 @@ class SmithWord:
             out = out + w
         return out
 
-    def term_strings(self):
+    def __str__(self):
         parts = []
-        for (a, d) in sorted(self.terms, key=lambda t: (t[0], t[1])):
+        for (a, d) in sorted(self.terms):
             poly = self.terms[(a, d)]
             for (i, jj), val in poly.terms_sorted():
                 factors = []
@@ -286,16 +260,7 @@ class SmithWord:
                     parts.append("-" + "*".join(factors))
                 else:
                     parts.append(f"{val}*" + "*".join(factors))
-        return parts
-
-    def __str__(self):
-        parts = self.term_strings()
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return join_signed(parts)
 
     __repr__ = __str__
 
@@ -309,7 +274,7 @@ class SmithWord:
     def from_json(algebra: SmithAlgebra, data) -> "SmithWord":
         out = algebra.zero()
         for a, d, poly in data:
-            out._add((int(a), int(d)), Poly2.from_json(poly))
+            out.add_term((int(a), int(d)), Poly2.from_json(poly))
         return out
 
 

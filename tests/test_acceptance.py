@@ -277,12 +277,12 @@ def test_criterion_8_free_fields():
     emb = embedding_for_level(Q(-5, 3))
     w = emb.algebra
     gp, gm, jimg, om = emb.images[GP], emb.images[GM], emb.images[J], emb.images["T"]
-    assert w.product(gp, 2, gm) == w.vacuum().scaled(Q(2, 9))
+    assert w.product(gp, 2, gm) == w.unit().scaled(Q(2, 9))
     assert w.product(gp, 1, gm) == jimg.scaled(-2)
     assert w.product(gp, 0, gm) == (
         w.product(jimg, -1, jimg).scaled(3) - w.translate(jimg) - om.scaled(Q(4, 3))
     )
-    assert w.product(om, 3, om) == w.vacuum().scaled(Q(-1, 2))  # c = -1
+    assert w.product(om, 3, om) == w.unit().scaled(Q(-1, 2))  # c = -1
     rows = check_embedding(emb)
     assert all(ok for _, ok, _, _ in rows)
     dims = weyl_charge_decomposition(4)
@@ -294,7 +294,7 @@ def test_criterion_8_free_fields():
     rows0 = check_embedding(femb)
     assert all(ok for _, ok, _, _ in rows0)
     assert femb.algebra.product(femb.images["T"], 3, femb.images["T"]) == (
-        femb.algebra.vacuum().scaled(Q(-1, 2))
+        femb.algebra.unit().scaled(Q(-1, 2))
     )  # c_0 = -1
     bar0 = BPAlgebra(0, BAR)
     assert push_state(femb, bar0, bar0.normal_form([(GP, -1)] * 2)).is_zero()

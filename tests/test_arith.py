@@ -239,3 +239,70 @@ def test_kernel_basis_matches_reference_on_ladder_matrices(monkeypatch):
     assert len(matrices) == 8
     for rows, ncols in matrices:
         assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols)
+
+
+def _sympy_linear_roots(sympy, expr, var) -> dict:
+    """Rational roots with multiplicity, read off sympy's factorization over Q."""
+    roots = {}
+    for factor, mult in sympy.factor_list(expr, var)[1]:
+        if sympy.degree(factor, var) == 1:
+            a, b = sympy.Poly(factor, var).all_coeffs()
+            root = -b / a
+            roots[Q(int(root.p), int(root.q))] = mult
+    return roots
+
+
+def test_resultant_and_rational_roots_match_sympy():
+    """An independent oracle: sympy's resultant and factorization over Q."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    variables = {"x": x, "y": y}
+
+    def to_sympy(p: Poly2):
+        return sum(sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.c.items())
+
+    def poly1_to_sympy(p: Poly1):
+        t = variables[p.var]
+        return sum(sympy.Rational(v.numerator, v.denominator) * t**d for d, v in enumerate(p.a))
+
+    # The Sylvester sign convention agrees on these two.
+    assert poly1_to_sympy(resultant(POLY_X - POLY_Y, POLY_X + POLY_Y, "x")) == 2 * y
+    assert poly1_to_sympy(resultant(POLY_X**2 + POLY_Y**2 - 2, POLY_X - POLY_Y, "y")) == 2 * x**2 - 2
+
+    rng = random.Random(4)
+
+    def random_poly2():
+        deg = rng.randint(1, 2)
+        return Poly2({(i, j): rng.randint(-3, 3) for i in range(deg + 1) for j in range(deg + 1 - i)})
+
+    checked = 0
+    for _ in range(60):
+        p, q = random_poly2(), random_poly2()
+        for var in ("x", "y"):
+            if not p or not q or p.degree_in(var) == q.degree_in(var) == 0:
+                continue
+            ours = resultant(p, q, var)
+            want = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), variables[var]))
+            assert sympy.expand(poly1_to_sympy(ours) - want) == 0
+            if ours.is_zero():
+                continue
+            keep = variables[ours.var]
+            roots, cofactor = rational_roots(ours)
+            assert roots == _sympy_linear_roots(sympy, want, keep)
+            assert cofactor.degree() == ours.degree() - sum(roots.values())
+            checked += 1
+    assert checked >= 100
+
+    t = variables["x"]
+    for quadratic in (Poly1([-2, 0, 1]), Poly1([1, 1, 1]), Poly1([Q(1, 3), 0, 2])):
+        for _ in range(10):
+            p, want_roots = Poly1([rng.randint(1, 4)]), {}
+            for _ in range(rng.randint(1, 4)):
+                root = Q(rng.randint(-6, 6), rng.randint(1, 4))
+                p = p * Poly1([-root, 1])
+                want_roots[root] = want_roots.get(root, 0) + 1
+            p = p * quadratic
+            roots, cofactor = rational_roots(p)
+            assert roots == want_roots == _sympy_linear_roots(sympy, poly1_to_sympy(p), t)
+            assert cofactor.degree() == 2
+            assert (cofactor * quadratic.a[-1] - quadratic * cofactor.a[-1]).is_zero()

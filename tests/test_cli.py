@@ -161,6 +161,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+def test_render_error_exits_3(capsys, monkeypatch):
+    """A report that cannot be rendered is an internal error, not a mismatch."""
+    import bpalgebra.cli as cli
+    from fractions import Fraction
+
+    monkeypatch.setitem(cli._COMMANDS, "zhu", lambda args: ({"x": Fraction(1, 3)}, True))
+    code, out, err = run(capsys, "zhu", "--level", "-5/3", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "TypeError" in err
+
+
 def test_incomplete_classification_branch_exits_1(capsys, monkeypatch):
     """A branch whose elimination may miss irrational solutions fails the suite."""
     import bpalgebra.classify as classify

@@ -37,14 +37,14 @@ def test_weyl_mode_products():
     out = cubes
     for _ in range(3):
         out = w.apply_mode(("a+", 0), out)
-    assert out == w.vacuum().scaled(6)
+    assert out == w.unit().scaled(6)
 
 
 def test_ff_product_unit():
     w = weyl_algebra()
     s = w.normal_form([("a+", -2), ("a-", -1)])
-    assert w.product(w.vacuum(), -1, s) == s
-    assert w.product(w.vacuum(), 0, s).is_zero()
+    assert w.product(w.unit(), -1, s) == s
+    assert w.product(w.unit(), 0, s).is_zero()
 
 
 def test_generator_mode_commutators_random():
@@ -71,7 +71,7 @@ def test_lemma_products_weyl():
     emb = weyl_embedding()
     w = emb.algebra
     gp, gm, jimg, om = emb.images[GP], emb.images[GM], emb.images[J], emb.images["T"]
-    assert w.product(gp, 2, gm) == w.vacuum().scaled(Q(2, 9))
+    assert w.product(gp, 2, gm) == w.unit().scaled(Q(2, 9))
     assert w.product(gp, 1, gm) == jimg.scaled(-2)
     expected = w.product(jimg, -1, jimg).scaled(3) - w.translate(jimg) - om.scaled(Q(4, 3))
     assert w.product(gp, 0, gm) == expected
@@ -117,8 +117,8 @@ def test_weyl_charge_decomposition():
 
 def test_sector_highest_weights():
     emb = weyl_embedding()
-    assert hw_weight_of(emb, emb.algebra.gen_state("a+")) == (Q(1, 3), Q(1, 3))
-    assert hw_weight_of(emb, emb.algebra.gen_state("a-")) == (Q(-1, 3), Q(2, 3))
+    assert hw_weight_of(emb, emb.algebra.normal_form([("a+", -1)])) == (Q(1, 3), Q(1, 3))
+    assert hw_weight_of(emb, emb.algebra.normal_form([("a-", -1)])) == (Q(-1, 3), Q(2, 3))
 
 
 def test_clifford_symplectic_conformal_embedding():
@@ -138,7 +138,7 @@ def test_named_wrappers():
 
     emb = weyl_embedding()
     w = emb.algebra
-    assert ff_product(w, w.vacuum(), -1, emb.images[J]) == emb.images[J]
+    assert ff_product(w, w.unit(), -1, emb.images[J]) == emb.images[J]
     om_eng = BPAlgebra(Q(-5, 3), OMEGA)
     assert check_ideal_vanishing(emb, om_eng, omega4(om_eng))
     assert not check_ideal_vanishing(emb, om_eng, om_eng.normal_form([(J, -1)]))

@@ -209,3 +209,38 @@ def test_derived_integer_graded_bracket_table(bar):
     assert br.scalar == (k + 1) * (2 * k + 3) * 0  # m(m-1)/2 at m=1 is 0
     br = bar.bracket((GP, 2), (GM, -2))
     assert br.scalar == (k + 1) * (2 * k + 3)
+
+
+def _memo_case(name):
+    from bpalgebra.freefield import fermionic_algebra, weyl_algebra
+
+    if name == "bar-vac":
+        alg = BPAlgebra(KTEST, BAR)
+        return alg, VAC, [(GM, -2), (J, -1), (GP, -1)], [(GP, -1), (GM, -2)], alg.state_product_action
+    if name == "bar-hw":
+        alg = BPAlgebra(KTEST, BAR)
+        return alg, HW, [(GM, -1), (L, -1), (GP, 0)], [(J, -1)], alg.state_product_action
+    alg = weyl_algebra() if name == "weyl" else fermionic_algebra()
+    if name == "weyl":
+        return alg, VAC, [("a-", -1), ("a+", -2), ("a+", -1)], [("a+", -1), ("a-", -1)], alg.product
+    return alg, VAC, [("c", -1), ("P+", -2), ("P+", -1)], [("P+", -1), ("P-", -1)], alg.product
+
+
+@pytest.mark.parametrize("name", ["bar-vac", "bar-hw", "weyl", "fermionic"])
+def test_returned_states_do_not_alias_memo_tables(name):
+    """Mutating a returned state leaves the shared memo tables intact."""
+    alg, base, word, u_word, product = _memo_case(name)
+    calls = [
+        lambda: alg.apply_mode(word[0], alg.normal_form(word[1:], base=base)),
+        lambda: alg.normal_form(word, base=base),
+        lambda: product(alg.normal_form(u_word), 0, alg.normal_form(word, base=base)),
+        lambda: product(alg.normal_form(u_word), 0, alg.normal_form(word[-1:], base=base)),
+    ]
+    for call in calls:
+        first = call()
+        expected = first.copy()
+        assert not expected.is_zero()
+        for mono in list(first.terms):
+            first.add_term(mono, 1)
+        first.add_term(((word[0][0], -9),), 1)
+        assert call() == expected
