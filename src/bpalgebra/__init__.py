@@ -6,7 +6,7 @@ realizations, all over exact rational arithmetic.
 """
 
 from .arith import Poly1, Poly2, binomial, frac, rational_roots, resultant
-from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State, level_pair
+from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
 from .weightspace import (
     contragredient_weight,
     conjugate_weight_omega,
@@ -35,9 +35,7 @@ from .freefield import (
     FFAlgebra,
     FFState,
     check_embedding,
-    check_ideal_vanishing,
     embedding_for_level,
-    ff_product,
     fermionic_embedding,
     push_state,
     weyl_charge_decomposition,

@@ -89,6 +89,9 @@ def cmd_singular(args) -> tuple[dict, bool]:
     weight = _parse_weight(args.weight)
     charge = int(args.charge)
     grading = args.grading
+    golden_name = tables.singular_table_name(level, weight, charge, grading)
+    if args.check and golden_name is None:
+        raise UsageError("no golden table for this configuration")
     sol = find_singular(level, weight, charge, grading)
     report = {
         "suite": "singular",
@@ -101,9 +104,6 @@ def cmd_singular(args) -> tuple[dict, bool]:
         "kernel_dimension": sol.dimension,
     }
     ok = True
-    golden_name = tables.singular_table_name(level, weight, charge, grading)
-    if args.check and golden_name is None:
-        raise UsageError("no golden table for this configuration")
     if sol.dimension == 0:
         report["result"] = "no singular vector (empty kernel)"
         report["vectors"] = []

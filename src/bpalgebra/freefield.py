@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .arith import Q, frac
 from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, State, expand_word
+from .weightspace import multisets
 
 
 class Quad:
@@ -375,16 +376,6 @@ def push_state(emb: Embedding, algebra: BPAlgebra, s: State) -> FFState:
     return out
 
 
-def ff_product(algebra: FFAlgebra, u: FFState, n: int, v: FFState) -> FFState:
-    """The n-th product u_(n) v (module-level convenience wrapper)."""
-    return algebra.product(u, n, v)
-
-
-def check_ideal_vanishing(emb: Embedding, algebra: BPAlgebra, s: State) -> bool:
-    """True iff the embedding kills the given vacuum state."""
-    return push_state(emb, algebra, s).is_zero()
-
-
 def hw_weight_of(emb: Embedding, s: FFState):
     """(J(0), L(0))-weight of a free-field highest-weight vector."""
     alg = emb.algebra
@@ -426,23 +417,16 @@ def weyl_charge_decomposition(max_weight) -> dict:
     weight 1/2) and J_0 counts (num(a+) - num(a-))/3.
     """
     max_weight = frac(max_weight)
+    # a+-(-n) creates weight n - 1/2.
+    top = int(max_weight + Q(1, 2))
+    pool = [((gen, -n), n - Q(1, 2)) for gen in ("a+", "a-") for n in range(1, top + 1)]
     dims: dict[tuple, int] = {}
-
-    def rec(min_key, weight, charge3):
-        key = (weight, charge3)
-        dims[key] = dims.get(key, 0) + 1
-        for rank, gen in ((0, "a+"), (1, "a-")):
-            n = -1
-            while True:
-                w = Q(-n) - Q(1, 2)
-                if weight + w > max_weight:
-                    break
-                if (rank, n) >= min_key:
-                    rec((rank, n), weight + w, charge3 + (1 if gen == "a+" else -1))
-                n -= 1
-
-    rec((0, -10**9), Q(0), 0)
-    return {(w, Fraction(c, 3)): d for (w, c), d in dims.items()}
+    for twice_w in range(int(2 * max_weight) + 1):
+        weight = Q(twice_w, 2)
+        for mono in multisets(pool, weight):
+            key = (weight, Q(sum(1 if gen == "a+" else -1 for gen, _ in mono), 3))
+            dims[key] = dims.get(key, 0) + 1
+    return dims
 
 
 # ---------------------------------------------------------------------------

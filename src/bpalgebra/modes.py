@@ -611,8 +611,3 @@ class BPAlgebra(ModeAlgebra):
             raise ValueError("the acting state must live over the vacuum")
         # A named layer of the benchmark tracer, which wraps BPAlgebra.__dict__.
         return self._product(u, p, w)
-
-
-def level_pair(k) -> tuple[BPAlgebra, BPAlgebra]:
-    """Convenience constructor: (omega engine, bar engine) at level k."""
-    return BPAlgebra(k, OMEGA), BPAlgebra(k, BAR)

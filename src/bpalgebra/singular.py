@@ -24,19 +24,13 @@ class AnnihilatorSet:
     """Modes required to annihilate a candidate singular vector."""
 
     modes: list
-    include_gm0: bool = False
-    include_gp0: bool = False
 
     @staticmethod
-    def default(convention: str, include_gm0=False, include_gp0=False) -> "AnnihilatorSet":
+    def default(convention: str, include_gm0=False) -> "AnnihilatorSet":
         modes = [(J, 1), (L, 1), (L, 2), (GP, 1), (GM, 1)]
-        extra = []
-        if include_gm0:
-            extra.append((GM, 0) if convention == BAR else (GM, 1))
-        if include_gp0:
-            extra.append((GP, 0))
-        out = modes + [m for m in extra if m not in modes]
-        return AnnihilatorSet(out, include_gm0, include_gp0)
+        if include_gm0 and convention == BAR:
+            modes.append((GM, 0))
+        return AnnihilatorSet(modes)
 
 
 @dataclass
@@ -51,7 +45,7 @@ class SingularSolution:
     annihilators: list = field(default_factory=list)
 
 
-def _coerce_rows(images, column_index):
+def _coerce_rows(images):
     """Linear-system rows from annihilator images of the basis states."""
     rows = {}
     for col, image in enumerate(images):
@@ -78,7 +72,7 @@ def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSe
     rows = []
     for mode in ann.modes:
         images = [algebra.apply_mode(mode, s) for s in states]
-        rows.extend(_coerce_rows(images, len(states)))
+        rows.extend(_coerce_rows(images))
     kernel = kernel_basis(rows, len(states))
     vectors = []
     for vec in kernel:

@@ -1,17 +1,16 @@
 """Weight-space enumeration and module-level weight utilities.
 
 Bases of the (weight, charge) homogeneous subspaces of the vacuum module and
-of the generic highest-weight module are enumerated generator block by
-generator block, in the canonical PBW order.  An independent Euler-product
-counting oracle is provided so the enumeration can be cross-checked in tests
-without trusting the enumeration code itself.
+of the generic highest-weight module are enumerated by one multiset recursion
+over the creation modes, listed in the canonical PBW order.  An independent
+Euler-product counting oracle is provided so the enumeration can be
+cross-checked in tests without trusting the enumeration code itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import os
 
 from .arith import Poly2, Q, frac
@@ -56,11 +55,11 @@ def _mode_pool(algebra: BPAlgebra, gen: str, base: str, cap: Fraction):
     return out
 
 
-def _block_multisets(pool, total: Fraction):
-    """Multisets from a finite (index, weight) pool with the given total weight.
+def multisets(pool, total: Fraction):
+    """Multisets from a finite (item, weight) pool with the given total weight.
 
-    The pool is listed shallowest first; emitted tuples keep that order, which
-    is exactly the canonical non-increasing index order within a generator.
+    Items of weight zero are never drawn.  Emitted tuples keep the pool's
+    order, so a pool listed in canonical order yields canonical monomials.
     """
 
     def rec(start: int, remaining: Fraction):
@@ -68,27 +67,12 @@ def _block_multisets(pool, total: Fraction):
             yield ()
             return
         for i in range(start, len(pool)):
-            n, w = pool[i]
+            item, w = pool[i]
             if 0 < w <= remaining:
                 for rest in rec(i, remaining - w):
-                    yield (n,) + rest
+                    yield (item,) + rest
 
     yield from rec(0, total)
-
-
-def _weight_splits(total: Fraction, parts: int):
-    """Ordered splits of ``total`` into ``parts`` nonnegative half-integers."""
-    steps = int(total * 2)
-    if steps != total * 2:
-        raise ValueError("weights are multiples of 1/2")
-    for cuts in itertools.combinations_with_replacement(range(steps + 1), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(Q(c - prev, 2))
-            prev = c
-        out.append(Q(steps - prev, 2))
-        yield tuple(out)
 
 
 def enumerate_basis(algebra: BPAlgebra, base: str, weight, charge: int) -> WeightSpaceBasis:
@@ -100,27 +84,22 @@ def enumerate_basis(algebra: BPAlgebra, base: str, weight, charge: int) -> Weigh
         raise ValueError(
             f"weight {weight} exceeds the enumeration bound {weight_bound()}"
         )
-    pools = {gen: _mode_pool(algebra, gen, base, weight) for gen in (L, J, GP, GM)}
-    has_zero_gp = any(w == 0 for _, w in pools[GP])
+    if (2 * weight).denominator != 1:
+        raise ValueError("weights are multiples of 1/2")
+    # Canonical PBW order: L, J, G+, G-, each generator shallowest first.
+    pool = [
+        ((gen, n), w) for gen in (L, J, GP, GM) for n, w in _mode_pool(algebra, gen, base, weight)
+    ]
+    # On the highest-weight base G+(0) has weight zero and fills missing charge.
+    has_zero_gp = ((GP, 0), 0) in pool
     monomials = []
-    for wl, wj, wgp, wgm in _weight_splits(weight, 4):
-        for lp in _block_multisets(pools[L], wl):
-            for jp in _block_multisets(pools[J], wj):
-                for gp in _block_multisets(pools[GP], wgp):
-                    for gm in _block_multisets(pools[GM], wgm):
-                        extra = charge - (len(gp) - len(gm))
-                        if extra == 0:
-                            gp_full = gp
-                        elif extra > 0 and has_zero_gp:
-                            gp_full = (0,) * extra + gp
-                        else:
-                            continue
-                        monomials.append(
-                            tuple((L, n) for n in lp)
-                            + tuple((J, n) for n in jp)
-                            + tuple((GP, n) for n in gp_full)
-                            + tuple((GM, n) for n in gm)
-                        )
+    for mono in multisets(pool, weight):
+        extra = charge - algebra.monomial_charge(mono)
+        if extra == 0:
+            monomials.append(mono)
+        elif extra > 0 and has_zero_gp:
+            cut = sum(1 for gen, _ in mono if gen in (L, J))
+            monomials.append(mono[:cut] + ((GP, 0),) * extra + mono[cut:])
     monomials.sort(key=lambda mono: (len(mono), [(m[0], -m[1]) for m in mono]))
     return WeightSpaceBasis(algebra.k, algebra.convention, base, weight, charge, monomials)
 

@@ -241,6 +241,33 @@ def test_kernel_basis_matches_reference_on_ladder_matrices(monkeypatch):
         assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols)
 
 
+def _low_rank_matrix(rng):
+    """A rational matrix of chosen rank: a product of random nrows x r and r x ncols factors."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+    rank = rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        return Q(rng.randint(-5, 5), rng.randint(1, 4))
+
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = [[Q(sum(left[i][t] * right[t][j] for t in range(rank))) for j in range(ncols)] for i in range(nrows)]
+    return rows, ncols
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    """An independent oracle: sympy's nullspace, which also normalizes by free column."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2019)
+    cases = [([], 0), ([], 5), ([[]], 0), ([[Q(0)] * 4 for _ in range(3)], 4)]
+    cases += [_low_rank_matrix(rng) for _ in range(200)]
+    for rows, ncols in cases:
+        entries = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
+        matrix = sympy.Matrix(len(rows), ncols, entries)
+        want = [[Q(int(v.p), int(v.q)) for v in vec] for vec in matrix.nullspace()]
+        assert kernel_basis(rows, ncols) == want, (rows, ncols)
+
+
 def _sympy_linear_roots(sympy, expr, var) -> dict:
     """Rational roots with multiplicity, read off sympy's factorization over Q."""
     roots = {}

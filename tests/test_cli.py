@@ -42,6 +42,20 @@ def test_singular_check_without_golden_is_usage_error(capsys):
     assert "golden" in err
 
 
+def test_singular_check_looks_up_golden_before_computing(capsys, monkeypatch):
+    """--check without a golden table is a usage error before any kernel is built."""
+    import bpalgebra.cli as cli
+
+    def crash(*args):
+        raise RuntimeError("find_singular ran")
+
+    monkeypatch.setattr(cli, "find_singular", crash)
+    code, out, err = run(capsys, "singular", "--level", "-5/3", "--weight", "8", "--check")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no golden table for this configuration\n"
+
+
 def test_singular_json_format(capsys):
     code, out, _ = run(capsys, "singular", "--level", "-9/4", "--weight", "3", "--format", "json")
     assert code == 0

@@ -107,8 +107,26 @@ def test_fermionic_ideal_vanishing():
     assert not push_state(emb, bar, bar.normal_form([(J, -1)])).is_zero()
 
 
+def _weyl_series(max_twice_weight):
+    """prod_{n>=0} 1/((1 - z q^(n+1/2)) (1 - z^-1 q^(n+1/2))), truncated.
+
+    Returns {(2 * weight, power of z): coefficient}.
+    """
+    series = {tw: {} for tw in range(max_twice_weight + 1)}
+    series[0][0] = 1
+    for d in range(1, max_twice_weight + 1, 2):  # q^(n+1/2) with d = 2n + 1
+        for charge in (1, -1):
+            # Times 1/(1 - z^charge q^(d/2)), lowest weight first.
+            for tw in range(d, max_twice_weight + 1):
+                for c, v in series[tw - d].items():
+                    series[tw][c + charge] = series[tw].get(c + charge, 0) + v
+    return {(tw, c): v for tw, row in series.items() for c, v in row.items()}
+
+
 def test_weyl_charge_decomposition():
     dims = weyl_charge_decomposition(4)
+    want = {(Q(tw, 2), Q(c, 3)): v for (tw, c), v in _weyl_series(8).items()}
+    assert dims == want
     assert dims[(Q(4), Q(0))] == 12
     assert dims[(Q(0), Q(0))] == 1
     om_eng = BPAlgebra(Q(-5, 3), OMEGA)
@@ -134,11 +152,9 @@ def test_embedding_for_level():
 
 
 def test_named_wrappers():
-    from bpalgebra.freefield import check_ideal_vanishing, ff_product
-
     emb = weyl_embedding()
     w = emb.algebra
-    assert ff_product(w, w.unit(), -1, emb.images[J]) == emb.images[J]
+    assert w.product(w.unit(), -1, emb.images[J]) == emb.images[J]
     om_eng = BPAlgebra(Q(-5, 3), OMEGA)
-    assert check_ideal_vanishing(emb, om_eng, omega4(om_eng))
-    assert not check_ideal_vanishing(emb, om_eng, om_eng.normal_form([(J, -1)]))
+    assert push_state(emb, om_eng, omega4(om_eng)).is_zero()
+    assert not push_state(emb, om_eng, om_eng.normal_form([(J, -1)])).is_zero()

@@ -28,7 +28,13 @@ def test_vacuum_dimensions():
     assert len(basis3) == oracle(3, 0) == 6
 
 
+def _report_key(mono):
+    return (len(mono), [(gen, -n) for gen, n in mono])
+
+
 def test_enumeration_matches_oracle_everywhere():
+    """Each list has the oracle's length and holds distinct canonical monomials
+    of the cell's weight and charge, in report order: that fixes it exactly."""
     for k, conv in ((Q(-5, 3), OMEGA), (Q(-5, 3), BAR), (Q(-9, 4), BAR)):
         alg = BPAlgebra(k, conv)
         bases = [VAC] if conv == OMEGA else [VAC, HW]
@@ -37,9 +43,15 @@ def test_enumeration_matches_oracle_everywhere():
             for twice_w in range(0, 13):
                 w = Q(twice_w, 2)
                 for q in range(-5, 6):
-                    assert len(enumerate_basis(alg, base, w, q)) == oracle(w, q), (
-                        conv, base, w, q,
-                    )
+                    cell = (conv, base, w, q)
+                    monos = enumerate_basis(alg, base, w, q).monomials
+                    assert len(monos) == oracle(w, q), cell
+                    assert len(set(monos)) == len(monos), cell
+                    assert monos == sorted(monos, key=_report_key), cell
+                    for mono in monos:
+                        assert alg.monomial_weight(mono) == w, (cell, mono)
+                        assert alg.monomial_charge(mono) == q, (cell, mono)
+                        assert alg.normal_form(mono, base).terms == {mono: 1}, (cell, mono)
 
 
 def test_enumeration_bound_is_hard():
