@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
-from .modes import BAR, BPAlgebra, OMEGA
+from .modes import BAR, BPAlgebra
 from .tables import RATIONAL_LEVELS, golden_tables, table_state
 from .weightspace import contragredient_weight
 from .zhu import h_in_i, h_poly, zero_mode_poly
@@ -140,14 +140,12 @@ def _psi_shift(k: Fraction, i: int):
 
 
 def projection_filter(k: Fraction) -> Poly2:
-    """The singular-vector projection in shifted labels: U or V at (x, y+x/2)."""
+    """The singular-vector projection in the bar labels: U or V at (x, y+x/2)."""
     level = frac(k)
     if level not in RATIONAL_LEVELS:
         raise UnsupportedLevel(f"no singular-vector filter at level {level}")
     state = table_state(RATIONAL_LEVELS[level].singular)
-    algebra = BPAlgebra(level, BAR)
-    proj = zero_mode_poly(algebra, state, OMEGA)
-    return proj.subst(POLY_X, POLY_Y + POLY_X * Q(1, 2))
+    return zero_mode_poly(BPAlgebra(level, BAR), state, BAR)
 
 
 def infinite_top_certificates(k, weights) -> list[Certificate]:

@@ -276,6 +276,11 @@ def cmd_classify(args) -> tuple[dict, bool]:
     else:
         report["families"] = [{"family": fam, "note": note} for fam, note in ws.finite_families]
         report["flags"] = ws.flags
+        match = ([fam for fam, _ in ws.finite_families] == golden["finite_families"]
+                 and bool(ws.flags) == ("flagged_corner" in golden))
+        ok = ok and match
+        if not match:
+            report["golden"] = golden
     incomplete = [br.name for br in ws.branches if not br.complete]
     if incomplete:
         # Irrational solutions may be missing, so the weight sets are not proven.

@@ -9,11 +9,11 @@ Two concrete free-field algebras are provided:
   hosting the level 0 realization.
 
 All modes carry the n-th-product integer index; half-integer labels never
-appear.  Coefficients live in Q[sqrt(3)] so the fermionic normalization stays
-exact; every verified quantity ends up rational.  An algebra is given by its
-generators (parity and conformal weight) and the scalar pairing of two modes;
-normal ordering and the Borcherds iterate recursion for composite states are
-those of :class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.
+appear.  Coefficients are rational: the level 0 images are normalized so that
+no square root enters (see :func:`fermionic_embedding`).  An algebra is given
+by its generators (parity and conformal weight) and the scalar pairing of two
+modes; normal ordering and the Borcherds iterate recursion for composite
+states are those of :class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.
 """
 
 from __future__ import annotations
@@ -26,77 +26,6 @@ from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, State, expa
 from .weightspace import multisets
 
 
-class Quad:
-    """Exact element a + b*sqrt(3)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = frac(a)
-        self.b = frac(b)
-
-    ROOT3 = None  # set below
-
-    def __add__(self, other):
-        other = _quad(other)
-        return Quad(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Quad(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_quad(other))
-
-    def __rsub__(self, other):
-        return _quad(other) + (-self)
-
-    def __mul__(self, other):
-        other = _quad(other)
-        return Quad(self.a * other.a + 3 * self.b * other.b,
-                    self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _quad(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def rational(self) -> Fraction:
-        if self.b:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
-    def __str__(self):
-        if not self.b:
-            return str(self.a)
-        root = "s3" if self.b == 1 else f"{self.b}*s3"
-        if not self.a:
-            return root
-        sign = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
-        root = "s3" if mag == 1 else f"{mag}*s3"
-        return f"{self.a} {sign} {root}"
-
-    __repr__ = __str__
-
-
-Quad.ROOT3 = Quad(0, 1)
-
-
-def _quad(value) -> Quad:
-    if isinstance(value, Quad):
-        return value
-    return Quad(value)
-
-
 @dataclass(frozen=True)
 class FFGenerator:
     name: str
@@ -105,11 +34,11 @@ class FFGenerator:
 
 
 class FFState(State):
-    """Super-polynomial state over the free-field vacuum, coefficients in Q[sqrt(3)]."""
+    """Super-polynomial state over the free-field vacuum, coefficients in Q."""
 
     __slots__ = ()
-    ring = Quad
-    lift = Quad
+    ring = Fraction
+    lift = Fraction
 
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda mono: (len(mono), mono))
@@ -153,8 +82,8 @@ class FFAlgebra(ModeAlgebra):
     def is_creation(self, mode, base: str) -> bool:
         return mode[1] <= -1
 
-    def base_action(self, mode, base: str) -> Quad:
-        return Quad()  # every non-creation mode kills the vacuum
+    def base_action(self, mode, base: str) -> Fraction:
+        return Q(0)  # every non-creation mode kills the vacuum
 
     def commutator(self, mode, head, rest_state: FFState) -> FFState:
         return rest_state.scaled(self._pairing(mode, head))
@@ -164,7 +93,7 @@ class FFAlgebra(ModeAlgebra):
         out = FFState()
         for mono, coeff in s.terms.items():
             for i, (gen, n) in enumerate(mono):
-                rest = FFState(terms={mono[i + 1:]: Quad(1)})
+                rest = FFState(terms={mono[i + 1:]: Q(1)})
                 lifted = self.apply_mode((gen, n - 1), rest).scaled(-n)
                 for j in range(i - 1, -1, -1):
                     lifted = self.apply_mode(mono[j], lifted)
@@ -185,10 +114,10 @@ def weyl_algebra() -> FFAlgebra:
     def pairing(ma, mb):
         (ga, na), (gb, nb) = ma, mb
         if ga == "a+" and gb == "a-" and na + nb + 1 == 0:
-            return Quad(1)
+            return Q(1)
         if ga == "a-" and gb == "a+" and na + nb + 1 == 0:
-            return Quad(-1)
-        return Quad(0)
+            return Q(-1)
+        return Q(0)
 
     return FFAlgebra(
         "weyl",
@@ -201,12 +130,12 @@ def fermionic_algebra() -> FFAlgebra:
     def pairing(ma, mb):
         (ga, na), (gb, nb) = ma, mb
         if {ga, gb} == {"P+", "P-"} and ga != gb and na + nb + 1 == 0:
-            return Quad(1)
+            return Q(1)
         if ga == "b" and gb == "c" and na + nb == 0:
-            return Quad(na)
+            return Q(na)
         if ga == "c" and gb == "b" and na + nb == 0:
-            return Quad(nb)
-        return Quad(0)
+            return Q(nb)
+        return Q(0)
 
     return FFAlgebra(
         "fermionic",
@@ -248,19 +177,26 @@ def weyl_embedding() -> Embedding:
 def fermionic_embedding() -> Embedding:
     """The level 0 realization inside Clifford x symplectic fermions.
 
+    The source normalization is G+ = sqrt(3) :Psi+ b:, G- = -sqrt(3) :Psi- c:.
+    Every OPE of W_k is preserved by the charge automorphism
+    G+ -> t G+, G- -> t^-1 G- (J and L fixed), since each G+G- term picks up
+    t t^-1 = 1.  The images here are the source ones under t = 1/sqrt(3):
+    G+ = Psi+(-1)b(-1)1 and G- = -3 Psi-(-1)c(-1)1, so every coefficient is
+    rational.
+
     Normal-ordered products of two odd fields are ordering-dependent up to a
     Koszul sign; the realization requires the ordering c_(-1)b for the
     symplectic-fermion Virasoro and c_(-1)Psi- for the charge -1 generator
     (equivalently, a sign on the canonical monomials below).  With these
     choices every defining OPE coefficient at this level is reproduced; the
-    opposite ordering differs by the sign automorphism G- -> -G-.
+    opposite ordering differs by the t = -1 case G- -> -G-.
     """
     f = fermionic_algebra()
     alpha = f.normal_form([("P+", -1), ("P-", -1)])
     omega_f = f.product(alpha, -1, alpha).scaled(Q(1, 2))
     omega_sf = f.normal_form([("b", -1), ("c", -1)], coeff=-1)
-    gp = f.normal_form([("P+", -1), ("b", -1)], coeff=Quad.ROOT3)
-    gm = f.normal_form([("P-", -1), ("c", -1)], coeff=-Quad.ROOT3)
+    gp = f.normal_form([("P+", -1), ("b", -1)])
+    gm = f.normal_form([("P-", -1), ("c", -1)], coeff=-3)
     return Embedding("fermionic", Q(0), f, {J: alpha, "T": omega_f + omega_sf, GP: gp, GM: gm})
 
 
@@ -394,11 +330,10 @@ def _eigenvalue(image: FFState, s: FFState) -> Fraction:
     monos = set(image.terms) | set(s.terms)
     ratio = None
     for mono in monos:
-        num = image.terms.get(mono, Quad(0))
-        den = s.terms.get(mono, Quad(0))
+        den = s.terms.get(mono)
         if not den:
             raise ValueError("not an eigenvector")
-        cur = num.rational() / den.rational()
+        cur = image.terms.get(mono, 0) / den
         if ratio is None:
             ratio = cur
         elif ratio != cur:

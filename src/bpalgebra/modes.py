@@ -356,7 +356,6 @@ class BPAlgebra(ModeAlgebra):
         self.convention = convention
         self.heis_level = (2 * self.k + 3) / 3
         self.central_charge = -(3 * self.k + 1) * (2 * self.k + 3) / (self.k + 3)
-        self.central_charge_bar = -4 * (self.k + 1) * (2 * self.k + 3) / (self.k + 3)
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
 

@@ -291,8 +291,6 @@ class ZhuReducer:
     peeled with the star product against the generator images.
     """
 
-    GEN_WORD = {J: "X", L: "Y", GP: "E", GM: "-F"}
-
     def __init__(self, algebra: BPAlgebra):
         if algebra.convention != BAR:
             raise ValueError("the Smith reduction applies to the integer grading")

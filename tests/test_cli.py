@@ -199,3 +199,23 @@ def test_incomplete_classification_branch_exits_1(capsys, monkeypatch):
     assert data["status"] == "fail"
     assert data["golden_match"] is True
     assert data["incomplete_branches"] == ["dim1-generic", "dim1-to-dim2", "dim2-to-dim1", "dim2-to-dim2"]
+
+
+@pytest.mark.parametrize("level, families, flags", [
+    ("-1", [("y = x^2", "wrong family")], []),
+    ("0", [("y = x^2 - x", "dim1 family"), ("y = x^2", "dim2 family (x != 0)")], []),
+    ("-1", [("y = 3/2*x^2 - 1/2*x", "dim1 family")], ["an unexpected corner flag"]),
+])
+def test_integral_level_golden_mismatch_exits_1(capsys, monkeypatch, level, families, flags):
+    """Families and the corner flag are checked against golden/classify.json."""
+    import bpalgebra.cli as cli
+    from bpalgebra.classify import WeightSet
+
+    monkeypatch.setattr(
+        cli, "classify_level",
+        lambda k: WeightSet(k, [], [], finite_families=families, flags=flags))
+    code, out, _ = run(capsys, "classify", "--level", level, "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["status"] == "fail"
+    assert data["golden"] == cli.tables.golden_classify()[level]

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from bpalgebra.freefield import (
-    Quad,
+    Embedding,
+    FFState,
     check_embedding,
     clifford_sf_embedding_checks,
     embedding_for_level,
@@ -19,15 +20,6 @@ from bpalgebra.freefield import (
 from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, OMEGA, VAC
 from bpalgebra.tables import omega4
 from bpalgebra.weightspace import enumerate_basis
-
-
-def test_quad_arithmetic():
-    s3 = Quad.ROOT3
-    assert s3 * s3 == 3
-    assert (1 + s3) * (1 - s3) == -2
-    with pytest.raises(ValueError):
-        s3.rational()
-    assert (s3 * s3).rational() == 3
 
 
 def test_weyl_mode_products():
@@ -90,6 +82,45 @@ def test_fermionic_embedding_full_ope_table():
     assert all(ok for _, ok, _, _ in rows)
     label = [r for r in rows if r[0].startswith("T(3)T")][0][0]
     assert "c=-1" in label
+
+
+def _rescaled(emb, tp, tm):
+    images = dict(emb.images)
+    images[GP] = images[GP].scaled(tp)
+    images[GM] = images[GM].scaled(tm)
+    return Embedding(emb.name, emb.k, emb.algebra, images)
+
+
+def _singular_images_vanish(emb):
+    if emb.k == 0:
+        bar = BPAlgebra(0, BAR)
+        words = ([(GP, -1)] * 2, [(GM, -2)] * 2)
+        return all(push_state(emb, bar, bar.normal_form(w)).is_zero() for w in words)
+    om_eng = BPAlgebra(emb.k, OMEGA)
+    return push_state(emb, om_eng, omega4(om_eng)).is_zero()
+
+
+@pytest.mark.parametrize("make", [weyl_embedding, fermionic_embedding])
+def test_charge_rescaling_preserves_the_realization(make):
+    """G+ -> t G+, G- -> G-/t keeps every OPE; scaling G+ alone breaks G+G-."""
+    emb = make()
+    for t in (Q(2), Q(-1, 3)):
+        scaled = _rescaled(emb, t, 1 / t)
+        assert all(ok for _, ok, _, _ in check_embedding(scaled)), t
+        assert _singular_images_vanish(scaled), t
+    broken = check_embedding(_rescaled(emb, 2, 1))
+    failed = {label for label, ok, _, _ in broken if not ok}
+    assert failed and all("G+" in label and "G-" in label for label in failed)
+
+
+def test_fermionic_images_are_rational():
+    """The source sqrt(3) normalization under G+ -> G+/sqrt(3), G- -> sqrt(3) G-."""
+    emb = fermionic_embedding()
+    assert FFState.ring is Q
+    assert emb.images[GP].terms == {(("P+", -1), ("b", -1)): 1}
+    assert emb.images[GM].terms == {(("P-", -1), ("c", -1)): -3}
+    for img in emb.images.values():
+        assert all(type(c) is Q for c in img.terms.values())
 
 
 def test_weyl_ideal_vanishing():
