@@ -129,6 +129,7 @@ class WeightSet:
     certificates: list = field(default_factory=list)
     identities: list = field(default_factory=list)  # (label, bool)
     flags: list = field(default_factory=list)
+    flagged_corner: tuple | None = None  # (x, y) the flag names; checked, never rendered
 
 
 def _psi_shift(k: Fraction, i: int):
@@ -260,8 +261,9 @@ def _classify_zero(k: Fraction) -> WeightSet:
         ("h1(x, x^2 - x) == 0", fam0 == Poly2()),
         ("h2(x, x^2) == 0", fam1 == Poly2()),
     ]
-    flags = []
+    flags, corner = [], None
     if h2.eval(0, 0) == 0 and h1.eval(0, 0) == 0:
+        corner = (Q(0), Q(0))
         flags.append(
             "x = 0 on the dim-2 family: h1(0,0) = h2(0,0) = 0; the top level "
             "degenerates to a 2-dimensional indecomposable module"
@@ -274,6 +276,7 @@ def _classify_zero(k: Fraction) -> WeightSet:
         ],
         identities=identities,
         flags=flags,
+        flagged_corner=corner,
     )
 
 

@@ -276,8 +276,10 @@ def cmd_classify(args) -> tuple[dict, bool]:
     else:
         report["families"] = [{"family": fam, "note": note} for fam, note in ws.finite_families]
         report["flags"] = ws.flags
+        corner = ws.flagged_corner and [str(c) for c in ws.flagged_corner]
         match = ([fam for fam, _ in ws.finite_families] == golden["finite_families"]
-                 and bool(ws.flags) == ("flagged_corner" in golden))
+                 and corner == golden.get("flagged_corner")
+                 and bool(ws.flags) == (corner is not None))
         ok = ok and match
         if not match:
             report["golden"] = golden

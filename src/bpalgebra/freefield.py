@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Q, frac
-from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, State, expand_word
+from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, ScalarState, State, expand_word
 from .weightspace import multisets
 
 
@@ -33,12 +33,10 @@ class FFGenerator:
     conformal_weight: Fraction
 
 
-class FFState(State):
+class FFState(ScalarState):
     """Super-polynomial state over the free-field vacuum, coefficients in Q."""
 
     __slots__ = ()
-    ring = Fraction
-    lift = Fraction
 
     def monomials_sorted(self):
         return sorted(self.terms, key=lambda mono: (len(mono), mono))

@@ -13,9 +13,11 @@ G- and are written here as in the source algebra:
       J(n) = J_n,  L(n) = L_n - (n+1)/2 J_n,  G+(n) = G+_n,  G-(n) = G-_{n+1},
   so the printed table remains the single source of truth.
 
-States are finite Q[x,y]-linear combinations of canonical PBW monomials
-applied to the vacuum or to a generic highest-weight vector v(x,y) with
-(J(0), L(0)) eigenvalues (x, y).  The canonical monomial order puts the
+States are finite linear combinations of canonical PBW monomials applied to
+the vacuum or to a generic highest-weight vector v(x,y) with (J(0), L(0))
+eigenvalues (x, y).  Coefficients lie in the state type's ``ring``: Q[x,y]
+for :class:`State`, Q for :class:`ScalarState`, which serves vacuum
+computations that never meet x or y.  The canonical monomial order puts the
 generators in the order L < J < G+ < G- (the order used by the tables we
 reproduce) with non-increasing mode indices inside each generator block.
 
@@ -29,7 +31,7 @@ free-field algebras plug into the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 import re
@@ -99,7 +101,7 @@ def expand_word(word, source: str, target: str, coeff) -> list:
     return words
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bracket:
     """Exact commutator [a, b] of two generator modes.
 
@@ -107,21 +109,22 @@ class Bracket:
     are expanded with the normal-ordered splitting only when applied to a
     state, where finitely many terms survive.  ``linear`` lists (mode, coeff)
     and ``scalar`` is the central term with delta conditions already
-    evaluated.
+    evaluated.  Brackets are memoized per algebra, so they are immutable.
     """
 
-    j2: list = field(default_factory=list)
-    linear: list = field(default_factory=list)
+    j2: tuple = ()
+    linear: tuple = ()
     scalar: Fraction = Q(0)
 
 
 class State:
     """Sparse combination of canonical PBW monomials over a base tag.
 
-    Coefficients lie in ``ring`` (Q[x,y] here); ``lift`` maps scalars into
-    it.  This is the one sparse combination type: the free-field states and
-    the Smith words are subclasses that change the ring, the base or the
-    display only, so generic code builds states with keyword arguments:
+    Coefficients lie in ``ring``: Q[x,y] by default, Q for
+    :class:`ScalarState`; ``lift`` maps scalars into it.  This is the one
+    sparse combination type: the scalar and free-field states and the Smith
+    words are subclasses that change the ring, the base or the display only,
+    so generic code builds states with keyword arguments:
     ``type(s)(base=..., terms=...)``.  States are mutable (``add_term``) and
     therefore unhashable.
     """
@@ -211,6 +214,13 @@ class State:
         for word, coeff in data:
             s.add_term(tuple(parse_mode(t) for t in word), Poly2.from_json(coeff))
         return s
+
+
+class ScalarState(State):
+    """A state with coefficients in Q, for computations that never meet x or y."""
+
+    __slots__ = ()
+    ring = lift = Fraction
 
 
 class ModeAlgebra:
@@ -358,6 +368,7 @@ class BPAlgebra(ModeAlgebra):
         self.central_charge = -(3 * self.k + 1) * (2 * self.k + 3) / (self.k + 3)
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
+        self._bracket_memo: dict = {}
 
     # ------------------------------------------------------------------
     # Gradings
@@ -435,58 +446,61 @@ class BPAlgebra(ModeAlgebra):
             return Bracket(scalar=self.heis_level * m if m + n == 0 else Q(0))
         if ga == J and gb in (GP, GM):
             sign = 1 if gb == GP else -1
-            return Bracket(linear=[((gb, m + n), Q(sign))])
+            return Bracket(linear=(((gb, m + n), Q(sign)),))
         if ga == L and gb == J:
-            return Bracket(linear=[((J, m + n), Q(-n))])
+            return Bracket(linear=(((J, m + n), Q(-n)),))
         if ga == L and gb == L:
-            out = Bracket(linear=[((L, m + n), Q(m - n))])
-            if m + n == 0:
-                out.scalar = self.central_charge * (m**3 - m) / 12
-            return out
+            return Bracket(
+                linear=(((L, m + n), Q(m - n)),),
+                scalar=self.central_charge * (m**3 - m) / 12 if m + n == 0 else Q(0),
+            )
         if ga == L and gb in (GP, GM):
-            return Bracket(linear=[((gb, m + n), Q(m, 2) - n + Q(1, 2))])
+            return Bracket(linear=(((gb, m + n), Q(m, 2) - n + Q(1, 2)),))
         if ga == GP and gb == GM:
-            out = Bracket(j2=[(m + n - 1, Q(3))])
-            out.linear = [
-                ((J, m + n - 1), Q(3, 2) * (k + 1) * (m - n)),
-                ((L, m + n - 1), -(k + 3)),
-            ]
-            if m + n == 1:
-                out.scalar = (k + 1) * (2 * k + 3) * (m - 1) * m / 2
-            return out
+            return Bracket(
+                j2=((m + n - 1, Q(3)),),
+                linear=(((J, m + n - 1), Q(3, 2) * (k + 1) * (m - n)), ((L, m + n - 1), -(k + 3))),
+                scalar=(k + 1) * (2 * k + 3) * (m - 1) * m / 2 if m + n == 1 else Q(0),
+            )
         if ga == gb and ga in (GP, GM):
             return Bracket()
         # Remaining cases by antisymmetry.
         flipped = self._bracket_omega(b, a)
         return Bracket(
-            j2=[(p, -c) for p, c in flipped.j2],
-            linear=[(md, -c) for md, c in flipped.linear],
+            j2=tuple((p, -c) for p, c in flipped.j2),
+            linear=tuple((md, -c) for md, c in flipped.linear),
             scalar=-flipped.scalar,
         )
 
     def bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] with both modes (and the result) in this convention."""
+        """[a, b] with both modes (and the result) in this convention, memoized."""
+        out = self._bracket_memo.get((a, b))
+        if out is not None:
+            return out
         if self.convention == OMEGA:
-            return self._bracket_omega(a, b)
-        out = Bracket()
-        linear_acc: dict[Mode, Fraction] = {}
-        j2_acc: dict[int, Fraction] = {}
-        scalar = Q(0)
-        for ma, ca in substitute(a, BAR, OMEGA):
-            for mb, cb in substitute(b, BAR, OMEGA):
-                piece = self._bracket_omega(ma, mb)
-                cc = ca * cb
-                scalar += cc * piece.scalar
-                for p, coeff in piece.j2:
-                    j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
-                for md, coeff in piece.linear:
-                    for md2, c2 in substitute(md, OMEGA, BAR):
-                        linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
-        out.scalar = scalar
-        out.j2 = sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])
-        out.linear = sorted(
-            ((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0])
-        )
+            out = self._bracket_omega(a, b)
+        else:
+            linear_acc: dict[Mode, Fraction] = {}
+            j2_acc: dict[int, Fraction] = {}
+            scalar = Q(0)
+            for ma, ca in substitute(a, BAR, OMEGA):
+                for mb, cb in substitute(b, BAR, OMEGA):
+                    piece = self._bracket_omega(ma, mb)
+                    cc = ca * cb
+                    scalar += cc * piece.scalar
+                    for p, coeff in piece.j2:
+                        j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
+                    for md, coeff in piece.linear:
+                        for md2, c2 in substitute(md, OMEGA, BAR):
+                            linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
+            out = Bracket(
+                j2=tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
+                linear=tuple(sorted(
+                    ((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0])
+                )),
+                scalar=scalar,
+            )
+        self._bracket_memo[(a, b)] = out
         return out
 
     # ------------------------------------------------------------------
@@ -504,7 +518,7 @@ class BPAlgebra(ModeAlgebra):
         """Apply a bracket result to s, each mode acting through ``act``
         (default :meth:`apply_mode`)."""
         act = act or self.apply_mode
-        out = s.scaled(br.scalar) if br.scalar else State(s.base)
+        out = s.scaled(br.scalar) if br.scalar else type(s)(base=s.base)
         for md, coeff in br.linear:
             out = out + act(md, s).scaled(coeff)
         for p, coeff in br.j2:
@@ -522,7 +536,7 @@ class BPAlgebra(ModeAlgebra):
         same window serves an ``act`` that applies flowed modes.
         """
         act = act or self.apply_mode
-        out = State(s.base)
+        out = type(s)(base=s.base)
         if s.is_zero():
             return out
         maxw = int(max(self.monomial_weight(m) for m in s.terms))
@@ -534,7 +548,7 @@ class BPAlgebra(ModeAlgebra):
 
     def state_from_words(self, entries, base: str = VAC) -> State:
         """Sum of coeff * word(base) over (word, coeff) pairs."""
-        out = State(base)
+        out = self.state_type(base=base)
         for word, coeff in entries:
             out = out + self.normal_form(word, base=base, coeff=coeff)
         return out
@@ -550,7 +564,7 @@ class BPAlgebra(ModeAlgebra):
             raise ValueError("conversion requires matching levels")
         if target.convention == self.convention:
             return s.copy()
-        out = State(VAC)
+        out = target.state_type(base=VAC)
         for mono, coeff in s.terms.items():
             for word, c in expand_word(mono, self.convention, target.convention, coeff):
                 out = out + target.normal_form(word, coeff=c)
@@ -578,7 +592,7 @@ class BPAlgebra(ModeAlgebra):
 
     def apply_spectral_flow_op(self, m: Mode, s: State) -> State:
         combo, scalar = self.spectral_flow_mode(m)
-        return self.apply_bracket(Bracket(linear=combo, scalar=scalar), s)
+        return self.apply_bracket(Bracket(linear=tuple(combo), scalar=scalar), s)
 
     def apply_spectral_flow_bracket(self, br: Bracket, s: State) -> State:
         """Apply the spectral-flow image of a bracket result to a state."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import Poly2, Q, kernel_basis
-from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, Mode, State
+from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
 
@@ -45,61 +45,59 @@ class SingularSolution:
     annihilators: list = field(default_factory=list)
 
 
-def _coerce_rows(images):
-    """Linear-system rows from annihilator images of the basis states."""
-    rows = {}
-    for col, image in enumerate(images):
-        for mono, coeff in image.terms.items():
-            if not coeff.is_const():
-                raise ValueError("vacuum computations must have constant coefficients")
-            rows.setdefault(mono, {})[col] = coeff.const_value()
-    ncols = len(images)
-    return [
-        [row.get(c, Q(0)) for c in range(ncols)] for _, row in sorted(rows.items(), key=lambda t: str(t[0]))
-    ]
+class _ScalarAlgebra(BPAlgebra):
+    """The vacuum engine over Q: the annihilator system never meets x or y."""
+
+    state_type = ScalarState
+
+
+def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list:
+    """The stacked annihilator system on vacuum monomials (the columns).
+
+    Entries are the coefficients of ``algebra.state_type``: Q on the scalar
+    engine :func:`find_singular` uses.
+    """
+    unit = algebra.state_type
+    rows = []
+    for mode in ann.modes:
+        by_mono = {}
+        for col, mono in enumerate(monomials):
+            for mono2, coeff in algebra.apply_mode(mode, unit(terms={mono: unit.lift(1)})).terms.items():
+                by_mono.setdefault(mono2, {})[col] = coeff
+        rows.extend([row.get(c, Q(0)) for c in range(len(monomials))]
+                    for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
+    return rows
 
 
 def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSet | None = None) -> SingularSolution:
     """Exact kernel of the stacked annihilator system on a vacuum weight space.
 
-    The returned basis vectors are normalized to be monic in their first
-    canonical monomial.
+    The system is built over Q scalars; the returned basis vectors are
+    Q[x,y] states, normalized to be monic in their first canonical monomial.
     """
-    algebra = BPAlgebra(k, convention)
+    algebra = _ScalarAlgebra(k, convention)
     ann = ann or AnnihilatorSet.default(convention)
     basis = enumerate_basis(algebra, VAC, weight, charge)
-    states = basis.states()
-    rows = []
-    for mode in ann.modes:
-        images = [algebra.apply_mode(mode, s) for s in states]
-        rows.extend(_coerce_rows(images))
-    kernel = kernel_basis(rows, len(states))
+    kernel = kernel_basis(annihilator_rows(algebra, basis.monomials, ann), len(basis))
     vectors = []
     for vec in kernel:
-        s = State(VAC)
-        for mono, coeff in zip(basis.monomials, vec):
-            s.add_term(mono, coeff)
-        vectors.append(normalize_monic(s))
-    # Re-verify each solution through the mode action, independently of the
-    # linear solve.
-    for s in vectors:
+        s = normalize_monic(ScalarState(terms={mono: c for mono, c in zip(basis.monomials, vec) if c}))
+        # Re-verify each solution through the mode action, independently of
+        # the linear solve.
         ok, witness = verify_singular(algebra, s, ann)
         if not ok:
             raise AssertionError(f"kernel vector fails reverification: {witness}")
+        vectors.append(State(terms={mono: Poly2.const(c) for mono, c in s.terms.items()}))
     return SingularSolution(
-        algebra.k, basis.weight, charge, convention, len(states), len(vectors), vectors, list(ann.modes)
+        algebra.k, basis.weight, charge, convention, len(basis), len(vectors), vectors, list(ann.modes)
     )
 
 
-def normalize_monic(s: State) -> State:
+def normalize_monic(s: ScalarState) -> ScalarState:
     """Scale so the canonically-first monomial has coefficient one."""
     if s.is_zero():
         return s
-    first = s.monomials_sorted()[0]
-    lead = s.terms[first]
-    if not lead.is_const():
-        raise ValueError("cannot normalize a state with non-constant coefficients")
-    return s.scaled(1 / lead.const_value())
+    return s.scaled(1 / s.terms[s.monomials_sorted()[0]])
 
 
 def scale_to_match(s: State, mono, coefficient) -> State:

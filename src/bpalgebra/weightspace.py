@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import os
 
-from .arith import Poly2, Q, frac
+from .arith import Q, frac
 from .modes import BAR, GM, GP, HW, J, L, BPAlgebra, State
 
 DEFAULT_WEIGHT_BOUND = 8
@@ -35,9 +35,6 @@ class WeightSpaceBasis:
 
     def __len__(self):
         return len(self.monomials)
-
-    def states(self) -> list[State]:
-        return [State(self.base, {mono: Poly2.const(1)}) for mono in self.monomials]
 
     def to_json(self):
         from .modes import mode_str

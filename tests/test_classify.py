@@ -94,8 +94,10 @@ def test_classify_zero_families_and_corner():
     assert ws.flags and "indecomposable" in ws.flags[0]
     assert h_poly(1, 0).subst(POLY_X, POLY_X**2 - POLY_X) == Poly2()
     assert h_poly(2, 0).subst(POLY_X, POLY_X**2) == Poly2()
-    # the flagged corner sits on both zero loci
-    assert h_poly(1, 0).eval(0, 0) == 0 and h_poly(2, 0).eval(0, 0) == 0
+    # the flagged corner is the golden one and sits on both zero loci
+    assert ws.flagged_corner == (0, 0)
+    assert [str(c) for c in ws.flagged_corner] == golden_classify()["0"]["flagged_corner"]
+    assert h_poly(1, 0).eval(*ws.flagged_corner) == 0 and h_poly(2, 0).eval(*ws.flagged_corner) == 0
 
 
 def test_unsupported_level():

@@ -1,3 +1,4 @@
+from fractions import Fraction as Q
 import importlib.util
 import json
 from pathlib import Path
@@ -201,19 +202,25 @@ def test_incomplete_classification_branch_exits_1(capsys, monkeypatch):
     assert data["incomplete_branches"] == ["dim1-generic", "dim1-to-dim2", "dim2-to-dim1", "dim2-to-dim2"]
 
 
-@pytest.mark.parametrize("level, families, flags", [
-    ("-1", [("y = x^2", "wrong family")], []),
-    ("0", [("y = x^2 - x", "dim1 family"), ("y = x^2", "dim2 family (x != 0)")], []),
-    ("-1", [("y = 3/2*x^2 - 1/2*x", "dim1 family")], ["an unexpected corner flag"]),
-])
-def test_integral_level_golden_mismatch_exits_1(capsys, monkeypatch, level, families, flags):
-    """Families and the corner flag are checked against golden/classify.json."""
+ZERO_FAMILIES = [("y = x^2 - x", "dim1 family"), ("y = x^2", "dim2 family (x != 0)")]
+
+
+@pytest.mark.parametrize("level, families, flags, corner", [
+    ("-1", [("y = x^2", "wrong family")], [], None),
+    ("0", ZERO_FAMILIES, [], None),
+    ("-1", [("y = 3/2*x^2 - 1/2*x", "dim1 family")], ["an unexpected corner flag"], None),
+    ("0", ZERO_FAMILIES, ["a corner flag"], (Q(1), Q(0))),
+    ("0", ZERO_FAMILIES, ["a corner flag"], None),
+], ids=["-1-families0-flags0", "0-families1-flags1", "-1-families2-flags2",
+        "0-flag-at-corner-1-0", "0-flag-without-corner"])
+def test_integral_level_golden_mismatch_exits_1(capsys, monkeypatch, level, families, flags, corner):
+    """Families and the flagged corner are checked against golden/classify.json."""
     import bpalgebra.cli as cli
     from bpalgebra.classify import WeightSet
 
     monkeypatch.setattr(
         cli, "classify_level",
-        lambda k: WeightSet(k, [], [], finite_families=families, flags=flags))
+        lambda k: WeightSet(k, [], [], finite_families=families, flags=flags, flagged_corner=corner))
     code, out, _ = run(capsys, "classify", "--level", level, "--format", "json")
     data = json.loads(out)
     assert code == 1

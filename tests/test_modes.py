@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -49,11 +50,11 @@ def test_bracket_table_omega(om):
     br = om.bracket((J, 0), (J, 0))
     assert br.scalar == 0 and not br.linear
     br = om.bracket((L, 3), (J, -1))
-    assert br.linear == [((J, 2), Q(1))] and br.scalar == 0
+    assert br.linear == (((J, 2), Q(1)),) and br.scalar == 0
     br = om.bracket((L, 2), (GP, -1))
-    assert br.linear == [((GP, 1), Q(2, 2) + 1 + Q(1, 2))]
+    assert br.linear == (((GP, 1), Q(2, 2) + 1 + Q(1, 2)),)
     br = om.bracket((GP, 1), (GM, 0))
-    assert br.j2 == [(0, Q(3))]
+    assert br.j2 == ((0, Q(3)),)
     assert ((L, 0), -(KTEST + 3)) in br.linear
     assert br.scalar == (KTEST + 1) * (2 * KTEST + 3) * 0  # (m-1)m/2 at m=1
 
@@ -193,16 +194,16 @@ def test_derived_integer_graded_bracket_table(bar):
     k = bar.k
     lam = bar.heis_level
     br = bar.bracket((J, 2), (GM, -1))
-    assert br.linear == [((GM, 1), Q(-1))] and not br.j2
+    assert br.linear == (((GM, 1), Q(-1)),) and not br.j2
     br = bar.bracket((L, 2), (J, -2))
-    assert br.linear == [((J, 0), Q(2))]
+    assert br.linear == (((J, 0), Q(2)),)
     assert br.scalar == -lam * 3  # -(lam) m(m+1)/2 at m = 2
     br = bar.bracket((L, 3), (GP, -1))
-    assert br.linear == [((GP, 2), Q(1))]
+    assert br.linear == (((GP, 2), Q(1)),)
     br = bar.bracket((L, 3), (GM, -1))
-    assert br.linear == [((GM, 2), Q(4))]
+    assert br.linear == (((GM, 2), Q(4)),)
     br = bar.bracket((GP, 1), (GM, -1))
-    assert br.j2 == [(0, Q(3))]
+    assert br.j2 == ((0, Q(3)),)
     jcoeff = dict(br.linear)[(J, 0)]
     assert jcoeff == Q(3, 2) * (k + 1) * (1 + 1 - 1) - (k + 3) * Q(1, 2)
     assert dict(br.linear)[(L, 0)] == -(k + 3)
@@ -244,3 +245,29 @@ def test_returned_states_do_not_alias_memo_tables(name):
             first.add_term(mono, 1)
         first.add_term(((word[0][0], -9),), 1)
         assert call() == expected
+    if isinstance(alg, BPAlgebra):
+        # Memoized brackets are frozen and hold tuples.
+        pair = ((GP, 1), (GM, -1))
+        first = alg.bracket(*pair)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.scalar = Q(1)
+        with pytest.raises(AttributeError):
+            first.linear.append(((J, 0), Q(1)))
+        assert alg.bracket(*pair) is first
+        assert first == BPAlgebra(alg.k, alg.convention).bracket(*pair)
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_memoized_brackets_match_a_fresh_algebra(grading):
+    """bracket() answers from its memo exactly as a fresh algebra computes."""
+    rng = random.Random(31)
+    gens = (J, L, GP, GM)
+    for level in (KTEST, Q(-9, 4), Q(-1), Q(0), Q(rng.randint(-20, 20), rng.randint(1, 9))):
+        alg = BPAlgebra(level, grading)
+        pairs = [((rng.choice(gens), rng.randint(-5, 5)), (rng.choice(gens), rng.randint(-5, 5)))
+                 for _ in range(150)]
+        first = [alg.bracket(a, b) for a, b in pairs]
+        again = [alg.bracket(a, b) for a, b in pairs]
+        assert all(x is y for x, y in zip(first, again))
+        for (a, b), br in zip(pairs, again):
+            assert br == BPAlgebra(level, grading).bracket(a, b), (level, a, b)

@@ -1,8 +1,11 @@
 from fractions import Fraction as Q
+import random
 
 import pytest
 
-from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA
+from bpalgebra import singular
+from bpalgebra.arith import Poly2
+from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA, State, VAC
 from bpalgebra.singular import (
     AnnihilatorSet,
     find_singular,
@@ -11,6 +14,7 @@ from bpalgebra.singular import (
     verify_singular,
 )
 from bpalgebra.tables import omega3, omega4, omega4_bar
+from bpalgebra.weightspace import enumerate_basis
 
 
 def test_weight4_kernel_matches_table():
@@ -113,3 +117,55 @@ def test_gm0_annihilation_reported_for_integral_family():
         for side in "+-":
             vec = integral_level_vector(bar, side, k + 2)
             assert bar.apply_mode((GM, 0), vec).is_zero()
+
+
+def _random_levels(count, seed):
+    rng = random.Random(seed)
+    levels = []
+    while len(levels) < count:
+        level = Q(rng.randint(-20, 20), rng.randint(1, 9))
+        if level not in levels and level not in (-3, Q(-5, 3), Q(-9, 4), -1, 0):
+            levels.append(level)
+    return levels
+
+
+def _poly2_rows(algebra, monomials, ann):
+    """The annihilator rows through the public Q[x,y] engine, read off by const_value()."""
+    rows = []
+    for mode in ann.modes:
+        by_mono = {}
+        for col, mono in enumerate(monomials):
+            image = algebra.apply_mode(mode, State(VAC, {mono: Poly2.const(1)}))
+            for mono2, coeff in image.terms.items():
+                assert coeff.is_const()
+                by_mono.setdefault(mono2, {})[col] = coeff.const_value()
+        for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])):
+            rows.append([row.get(c, Q(0)) for c in range(len(monomials))])
+    return rows
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+@pytest.mark.parametrize("level", [Q(-5, 3), Q(-9, 4), Q(-1), Q(0)] + _random_levels(3, 8))
+def test_scalar_rows_match_the_poly2_engine(level, grading):
+    """The Q-scalar annihilator system equals the Q[x,y] engine's, entry by entry."""
+    scalar, poly = singular._ScalarAlgebra(level, grading), BPAlgebra(level, grading)
+    ann = AnnihilatorSet.default(grading)
+    for weight in range(8):
+        for charge in (-1, 0, 1) if weight <= 5 else (0,):
+            monomials = enumerate_basis(poly, VAC, weight, charge).monomials
+            rows = singular.annihilator_rows(scalar, monomials, ann)
+            assert all(type(c) is Q for row in rows for c in row)
+            assert rows == _poly2_rows(poly, monomials, ann), (weight, charge)
+
+
+def test_scalar_engine_keeps_its_ring():
+    """Every state the scalar engine builds has Q coefficients."""
+    bar, om = singular._ScalarAlgebra(Q(-5, 3), BAR), singular._ScalarAlgebra(Q(-5, 3), OMEGA)
+    states = [
+        bar.state_from_words([([(J, -1), (J, -1)], 1), ([(L, -2)], Q(1, 2))]),
+        bar.convert(bar.normal_form([(L, -2), (GM, -2)]), om),
+        bar.apply_bracket(bar.bracket((GP, 1), (GM, -2)), bar.unit()),
+    ]
+    for s in states:
+        assert type(s) is singular.ScalarState and not s.is_zero()
+        assert all(type(c) is Q for c in s.terms.values())
