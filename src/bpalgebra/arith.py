@@ -547,26 +547,81 @@ def _lagrange(points, values):
     return coeffs
 
 
-# A 61-bit Mersenne prime: the modulus of the rank certificate in kernel_basis.
+# A 61-bit Mersenne prime: the modulus of the rank certificates.
 _PRIME = 2**61 - 1
 
 
-def _pivot_rows_mod_p(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Indices of the rows that become pivots of a row echelon form mod ``_PRIME``.
+class NotInvertibleModP(ArithmeticError):
+    """A rational whose denominator is divisible by ``_PRIME`` has no image in GF(p)."""
 
-    Each row is first scaled to an integer row by the lcm of its
-    denominators, so no denominator is ever inverted mod p.  The rows are
-    kept sparse; the scan stops once every column has a pivot.
+
+class GFp:
+    """An element of GF(p) for p = ``_PRIME``, held as its residue in [0, p).
+
+    ``lift`` is the reduction Z_(p) -> GF(p).  It is a ring homomorphism, so
+    a matrix computed with lifted constants is the reduction of the rational
+    one, and a nonzero minor mod p proves a nonzero minor over Q.
     """
-    echelon: dict[int, dict[int, int]] = {}  # leading column -> row with leading entry 1
-    selected = []
-    for index, row in enumerate(rows):
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v
+
+    @staticmethod
+    def lift(value) -> "GFp":
+        """The image of an int or Fraction; raises :class:`NotInvertibleModP`."""
+        if isinstance(value, int):
+            return GFp(value % _PRIME)
+        den = value.denominator % _PRIME
+        if not den:
+            raise NotInvertibleModP(f"{value} has no image mod {_PRIME}")
+        return GFp(value.numerator * pow(den, -1, _PRIME) % _PRIME)
+
+    def __add__(self, other: "GFp") -> "GFp":
+        return GFp((self.v + other.v) % _PRIME)
+
+    def __mul__(self, other: "GFp") -> "GFp":
+        return GFp(self.v * other.v % _PRIME)
+
+    def __neg__(self) -> "GFp":
+        return GFp(-self.v % _PRIME)
+
+    def __bool__(self) -> bool:
+        return self.v != 0
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GFp) and self.v == other.v
+
+    def __repr__(self) -> str:
+        return f"GFp({self.v})"
+
+
+def _integer_rows_mod_p(rows: list[list[Fraction]]) -> Iterable[dict[int, int]]:
+    """Each row scaled to an integer row by the lcm of its denominators, as sparse
+    {column: residue mod ``_PRIME``} dicts; no denominator is ever inverted mod p."""
+    for row in rows:
         scale = math.lcm(*(v.denominator for v in row if v))
         vec = {}
         for c, v in enumerate(row):
             value = v.numerator * (scale // v.denominator) % _PRIME
             if value:
                 vec[c] = value
+        yield vec
+
+
+def _pivot_rows_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> list[int]:
+    """Indices of the rows that become pivots of a row echelon form mod ``_PRIME``.
+
+    The rows are sparse {column: residue} dicts.  They are eliminated
+    sparsest first, which keeps the fill-in down, and the scan stops once
+    every column has a pivot.
+    """
+    vectors = list(vectors)
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> row with leading entry 1
+    selected = []
+    for index in sorted(range(len(vectors)), key=lambda i: len(vectors[i])):
+        vec = vectors[index]
         while vec:
             lead = min(vec)
             pivot = echelon.get(lead)
@@ -643,7 +698,7 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
     as the whole matrix, hence the same reduced row echelon form and the
     same basis.  An unlucky prime costs time, never correctness.
     """
-    chosen = set(_pivot_rows_mod_p(rows, ncols))
+    chosen = set(_pivot_rows_mod_p(_integer_rows_mod_p(rows), ncols))
     if len(chosen) == ncols:
         return []
     sparse = [[(c, v) for c, v in enumerate(row) if v] for row in rows]

@@ -153,14 +153,34 @@ class State:
     def add_term(self, mono: tuple, coeff) -> None:
         if not isinstance(coeff, self.ring):
             coeff = self.lift(coeff)
-        if not coeff:
-            return
-        cur = self.terms.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new:
-            self.terms[mono] = new
-        else:
-            del self.terms[mono]
+        if coeff:
+            self.add_scaled(((mono, coeff),))
+
+    def add_scaled(self, pairs, factor=None) -> None:
+        """Add ``factor`` times the (monomial, coefficient) pairs, in place.
+
+        The pairs come from a state or a memo table, so their coefficients
+        are nonzero elements of ``ring``; every ring here is a domain, so no
+        product vanishes.  Without ``factor`` the pairs are added as they are.
+        """
+        if factor is not None:
+            if not isinstance(factor, self.ring):
+                factor = self.lift(factor)
+            if not factor:
+                return
+        terms = self.terms
+        for mono, coeff in pairs:
+            if factor is not None:
+                coeff = coeff * factor
+            cur = terms.get(mono)
+            if cur is None:
+                terms[mono] = coeff
+            else:
+                coeff = cur + coeff
+                if coeff:
+                    terms[mono] = coeff
+                else:
+                    del terms[mono]
 
     def __add__(self, other: "State") -> "State":
         if self.base != other.base:
@@ -174,13 +194,8 @@ class State:
         return self + other.scaled(-1)
 
     def scaled(self, factor) -> "State":
-        if not isinstance(factor, self.ring):
-            factor = self.lift(factor)
         out = type(self)(base=self.base)
-        if not factor:
-            return out
-        for mono, coeff in self.terms.items():
-            out.add_term(mono, coeff * factor)
+        out.add_scaled(self.terms.items(), factor)
         return out
 
     def monomials_sorted(self):
@@ -241,7 +256,8 @@ class ModeAlgebra:
 
     A subclass also sets ``state_type`` and creates the memo dicts
     ``_insert_memo`` and ``_action_memo``.  Their values are shared between
-    results, so every method copies before it mutates.
+    results: ``_insert`` stores frozen tuples of (monomial, coefficient)
+    pairs, and every method accumulates into a state of its own.
 
     Modes of composite states follow the Borcherds iterate recursion: for a
     monomial a u with head generator a,
@@ -267,12 +283,11 @@ class ModeAlgebra:
     def apply_mode(self, m: Mode, s: State) -> State:
         out = self.state_type(base=s.base)
         for mono, coeff in s.terms.items():
-            for mono2, c2 in self._insert(m, mono, s.base).items():
-                out.add_term(mono2, coeff * c2)
+            out.add_scaled(self._insert(m, mono, s.base), coeff)
         return out
 
-    def _insert(self, m: Mode, mono: tuple, base: str) -> dict:
-        """``m`` applied to a canonical monomial, as {monomial: coefficient}."""
+    def _insert(self, m: Mode, mono: tuple, base: str) -> tuple:
+        """``m`` applied to a canonical monomial, as (monomial, coefficient) pairs."""
         key = (m, mono, base)
         memo = self._insert_memo
         hit = memo.get(key)
@@ -281,23 +296,25 @@ class ModeAlgebra:
         lift = self.state_type.lift
         if not mono:
             if self.is_creation(m, base):
-                result = {(m,): lift(1)}
+                result = (((m,), lift(1)),)
             else:
                 act = self.base_action(m, base)
-                result = {(): act} if act else {}
+                result = (((), act),) if act else ()
         elif self.is_creation(m, base) and self.mode_key(m) <= self.mode_key(mono[0]):
             if m == mono[0] and self.parity(m[0]):
-                result = {}  # odd modes square to zero
+                result = ()  # odd modes square to zero
             else:
-                result = {(m,) + mono: lift(1)}
+                result = (((m,) + mono, lift(1)),)
         else:
+            # m head rest = +-head (m rest) + [m, head] rest, from the memo.
             head, rest = mono[0], mono[1:]
+            odd = self.parity(m[0]) and self.parity(head[0])
+            total = self.state_type(base=base)
+            for mono2, c2 in self._insert(m, rest, base):
+                total.add_scaled(self._insert(head, mono2, base), -c2 if odd else c2)
             rest_state = self.state_type(base=base, terms={rest: lift(1)})
-            swapped = self.apply_mode(head, self.apply_mode(m, rest_state))
-            if self.parity(m[0]) and self.parity(head[0]):
-                swapped = swapped.scaled(-1)
-            total = swapped + self.commutator(m, head, rest_state)
-            result = dict(total.terms)
+            total.add_scaled(self.commutator(m, head, rest_state).terms.items())
+            result = tuple(total.terms.items())
         memo[key] = result
         return result
 
@@ -312,8 +329,7 @@ class ModeAlgebra:
         out = self.state_type(base=w.base)
         for umono, ucoeff in u.terms.items():
             for wmono, wcoeff in w.terms.items():
-                part = self._mono_product(umono, p, wmono, w.base)
-                out = out + part.scaled(ucoeff * wcoeff)
+                out.add_scaled(self._mono_product(umono, p, wmono, w.base).terms.items(), ucoeff * wcoeff)
         return out
 
     def _mono_product(self, umono: tuple, p: int, wmono: tuple, base: str) -> State:
@@ -339,7 +355,7 @@ class ModeAlgebra:
             if coeff:
                 inner = self._mono_product(rest, p + j, wmono, base)
                 if not inner.is_zero():
-                    result = result + self.apply_mode(self.product_mode(gen, m - j), inner).scaled(coeff)
+                    result.add_scaled(self.apply_mode(self.product_mode(gen, m - j), inner).terms.items(), coeff)
         # Tail sum: rest_(m+p-j) (a_(j) w); a_(j) w has weight
         # weight(product_mode(gen, j)) + wt(w), one less for each step in j.
         koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
@@ -348,8 +364,7 @@ class ModeAlgebra:
             coeff = Q(-1) ** j * binomial(m, j) * tail_sign
             if coeff:
                 for mono2, c2 in self.apply_mode(self.product_mode(gen, j), wstate).terms.items():
-                    part = self._mono_product(rest, m + p - j, mono2, base)
-                    result = result + part.scaled(coeff * c2)
+                    result.add_scaled(self._mono_product(rest, m + p - j, mono2, base).terms.items(), coeff * c2)
         memo[key] = result
         return result
 
@@ -475,33 +490,34 @@ class BPAlgebra(ModeAlgebra):
     def bracket(self, a: Mode, b: Mode) -> Bracket:
         """[a, b] with both modes (and the result) in this convention, memoized."""
         out = self._bracket_memo.get((a, b))
-        if out is not None:
-            return out
-        if self.convention == OMEGA:
-            out = self._bracket_omega(a, b)
-        else:
-            linear_acc: dict[Mode, Fraction] = {}
-            j2_acc: dict[int, Fraction] = {}
-            scalar = Q(0)
-            for ma, ca in substitute(a, BAR, OMEGA):
-                for mb, cb in substitute(b, BAR, OMEGA):
-                    piece = self._bracket_omega(ma, mb)
-                    cc = ca * cb
-                    scalar += cc * piece.scalar
-                    for p, coeff in piece.j2:
-                        j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
-                    for md, coeff in piece.linear:
-                        for md2, c2 in substitute(md, OMEGA, BAR):
-                            linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
-            out = Bracket(
-                j2=tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
-                linear=tuple(sorted(
-                    ((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0])
-                )),
-                scalar=scalar,
-            )
-        self._bracket_memo[(a, b)] = out
+        if out is None:
+            out = self._bracket_memo[(a, b)] = self._compute_bracket(a, b)
         return out
+
+    def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:
+        """[a, b] over Q: the omega table, or its image under the substitution."""
+        if self.convention == OMEGA:
+            return self._bracket_omega(a, b)
+        linear_acc: dict[Mode, Fraction] = {}
+        j2_acc: dict[int, Fraction] = {}
+        scalar = Q(0)
+        for ma, ca in substitute(a, BAR, OMEGA):
+            for mb, cb in substitute(b, BAR, OMEGA):
+                piece = self._bracket_omega(ma, mb)
+                cc = ca * cb
+                scalar += cc * piece.scalar
+                for p, coeff in piece.j2:
+                    j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
+                for md, coeff in piece.linear:
+                    for md2, c2 in substitute(md, OMEGA, BAR):
+                        linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
+        return Bracket(
+            j2=tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
+            linear=tuple(sorted(
+                ((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0])
+            )),
+            scalar=scalar,
+        )
 
     # ------------------------------------------------------------------
     # Left action and normal ordering
@@ -520,9 +536,9 @@ class BPAlgebra(ModeAlgebra):
         act = act or self.apply_mode
         out = s.scaled(br.scalar) if br.scalar else type(s)(base=s.base)
         for md, coeff in br.linear:
-            out = out + act(md, s).scaled(coeff)
+            out.add_scaled(act(md, s).terms.items(), coeff)
         for p, coeff in br.j2:
-            out = out + self.apply_j2(p, s, act).scaled(coeff)
+            out.add_scaled(self.apply_j2(p, s, act).terms.items(), coeff)
         return out
 
     def apply_j2(self, p: int, s: State, act=None) -> State:
@@ -541,9 +557,9 @@ class BPAlgebra(ModeAlgebra):
             return out
         maxw = int(max(self.monomial_weight(m) for m in s.terms))
         for j in range(p - maxw, 0):
-            out = out + act((J, j), act((J, p - j), s))
+            out.add_scaled(act((J, j), act((J, p - j), s)).terms.items())
         for j in range(0, maxw + 1):
-            out = out + act((J, p - j), act((J, j), s))
+            out.add_scaled(act((J, p - j), act((J, j), s)).terms.items())
         return out
 
     def state_from_words(self, entries, base: str = VAC) -> State:

@@ -7,6 +7,10 @@ strictly positive mode is an iterated bracket of these.  The charge-carrying
 weight-zero mode G-(0) is *not* imposed by default (the stricter
 highest-weight check is available via a flag); for the half-integer grading
 the corresponding mode is genuinely positive and belongs to the default set.
+
+An empty kernel is certified from the rows built mod p = 2^61 - 1: full
+column rank mod p proves full column rank over Q, and the exact path over Q
+runs only when that certificate fails.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import Poly2, Q, kernel_basis
-from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
+from .arith import GFp, NotInvertibleModP, Poly2, _pivot_rows_mod_p, kernel_basis
+from .modes import BAR, GM, GP, J, L, OMEGA, VAC, Bracket, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
 
@@ -51,20 +55,49 @@ class _ScalarAlgebra(BPAlgebra):
     state_type = ScalarState
 
 
+class _ModPState(State):
+    """A vacuum state with coefficients in GF(p)."""
+
+    __slots__ = ()
+    ring = GFp
+    lift = staticmethod(GFp.lift)
+
+
+class _ModPAlgebra(BPAlgebra):
+    """The vacuum engine over GF(p), p = 2^61 - 1.
+
+    Each bracket constant is lifted once, into this algebra's memo; one that
+    is not p-integral raises :class:`NotInvertibleModP`.  Every other step is
+    a ring operation, so the rows it builds are the reductions mod p of the
+    rows of :class:`_ScalarAlgebra`.
+    """
+
+    state_type = _ModPState
+
+    def _compute_bracket(self, a, b) -> Bracket:
+        br, lift = super()._compute_bracket(a, b), GFp.lift
+        return Bracket(
+            j2=tuple((p, lift(c)) for p, c in br.j2),
+            linear=tuple((md, lift(c)) for md, c in br.linear),
+            scalar=lift(br.scalar),
+        )
+
+
 def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list:
     """The stacked annihilator system on vacuum monomials (the columns).
 
-    Entries are the coefficients of ``algebra.state_type``: Q on the scalar
-    engine :func:`find_singular` uses.
+    Entries are the coefficients of ``algebra.state_type``: GF(p) or Q on
+    the engines :func:`find_singular` uses.
     """
     unit = algebra.state_type
+    zero = unit.lift(0)
     rows = []
     for mode in ann.modes:
         by_mono = {}
         for col, mono in enumerate(monomials):
             for mono2, coeff in algebra.apply_mode(mode, unit(terms={mono: unit.lift(1)})).terms.items():
                 by_mono.setdefault(mono2, {})[col] = coeff
-        rows.extend([row.get(c, Q(0)) for c in range(len(monomials))]
+        rows.extend([row.get(c, zero) for c in range(len(monomials))]
                     for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
     return rows
 
@@ -72,13 +105,17 @@ def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list
 def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSet | None = None) -> SingularSolution:
     """Exact kernel of the stacked annihilator system on a vacuum weight space.
 
-    The system is built over Q scalars; the returned basis vectors are
-    Q[x,y] states, normalized to be monic in their first canonical monomial.
+    The system is first built mod p: full column rank there proves the
+    kernel is {0}.  Otherwise it is built over Q scalars and solved exactly;
+    the returned basis vectors are Q[x,y] states, normalized to be monic in
+    their first canonical monomial.
     """
     algebra = _ScalarAlgebra(k, convention)
     ann = ann or AnnihilatorSet.default(convention)
     basis = enumerate_basis(algebra, VAC, weight, charge)
-    kernel = kernel_basis(annihilator_rows(algebra, basis.monomials, ann), len(basis))
+    kernel = []
+    if not _full_rank_mod_p(_ModPAlgebra(k, convention), basis.monomials, ann):
+        kernel = kernel_basis(annihilator_rows(algebra, basis.monomials, ann), len(basis))
     vectors = []
     for vec in kernel:
         s = normalize_monic(ScalarState(terms={mono: c for mono, c in zip(basis.monomials, vec) if c}))
@@ -91,6 +128,17 @@ def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSe
     return SingularSolution(
         algebra.k, basis.weight, charge, convention, len(basis), len(vectors), vectors, list(ann.modes)
     )
+
+
+def _full_rank_mod_p(algebra: _ModPAlgebra, monomials, ann: AnnihilatorSet) -> bool:
+    """Whether the annihilator rows have full column rank mod p; False when a
+    structure constant has no image mod p."""
+    try:
+        rows = annihilator_rows(algebra, monomials, ann)
+    except NotInvertibleModP:
+        return False
+    vectors = ({c: x.v for c, x in enumerate(row) if x} for row in rows)
+    return len(_pivot_rows_mod_p(vectors, len(monomials))) == len(monomials)
 
 
 def normalize_monic(s: ScalarState) -> ScalarState:

@@ -6,6 +6,9 @@ import pytest
 from bpalgebra import singular
 from bpalgebra.arith import (
     _PRIME,
+    GFp,
+    NotInvertibleModP,
+    _integer_rows_mod_p,
     _pivot_rows_mod_p,
     POLY_X,
     POLY_Y,
@@ -17,7 +20,8 @@ from bpalgebra.arith import (
     rational_roots,
     resultant,
 )
-from bpalgebra.modes import BAR, OMEGA
+from bpalgebra.modes import BAR, OMEGA, VAC
+from bpalgebra.weightspace import enumerate_basis
 
 
 def test_frac_parsing():
@@ -208,6 +212,20 @@ def _random_sparse_matrix(rng):
     return rows, ncols
 
 
+def test_gfp_lift_is_a_ring_homomorphism():
+    rng = random.Random(61)
+    values = [Q(rng.randint(-10**20, 10**20), rng.randint(1, 10**20)) for _ in range(200)] + [Q(0), Q(_PRIME, 7)]
+    for a, b in zip(values, reversed(values)):
+        assert GFp.lift(a) + GFp.lift(b) == GFp.lift(a + b)
+        assert GFp.lift(a) * GFp.lift(b) == GFp.lift(a * b)
+        assert -GFp.lift(a) == GFp.lift(-a)
+        assert bool(GFp.lift(a)) == bool(a.numerator % _PRIME)
+    assert GFp.lift(-1) == GFp(_PRIME - 1) and GFp.lift(Q(1, 2)) * GFp.lift(2) == GFp.lift(1)
+    for bad in (Q(1, _PRIME), Q(-3, 2 * _PRIME)):
+        with pytest.raises(NotInvertibleModP):
+            GFp.lift(bad)
+
+
 def test_kernel_basis_matches_reference_on_random_matrices():
     rng = random.Random(20191031)
     cases = [([], 0), ([], 4), ([[]], 0), ([[], []], 0), ([[Q(_PRIME)]], 1), ([[Q(1, _PRIME), Q(1)]], 2)]
@@ -219,23 +237,22 @@ def test_kernel_basis_matches_reference_on_random_matrices():
         assert kernel_basis(rows, ncols) == want, (rows, ncols)
         if rows and ncols:
             shapes["tall" if len(rows) > ncols else "wide"] += 1
-        mod_p_rank_short += len(_pivot_rows_mod_p(rows, ncols)) < ncols - len(want)
+        mod_p_rank_short += len(_pivot_rows_mod_p(_integer_rows_mod_p(rows), ncols)) < ncols - len(want)
     assert min(shapes.values()) >= 20, shapes
     # The verification loop, not only the certificate, must be exercised.
     assert mod_p_rank_short >= 5
 
 
-def test_kernel_basis_matches_reference_on_ladder_matrices(monkeypatch):
+def test_kernel_basis_matches_reference_on_ladder_matrices():
+    # The ladder's exact systems, built directly: find_singular itself hands
+    # only the rank-deficient w = 4 systems to kernel_basis.
     matrices = []
-
-    def capture(rows, ncols):
-        matrices.append(([row[:] for row in rows], ncols))
-        return kernel_basis(rows, ncols)
-
-    monkeypatch.setattr(singular, "kernel_basis", capture)
     for grading in (BAR, OMEGA):
+        algebra = singular._ScalarAlgebra(Q(-5, 3), grading)
+        ann = singular.AnnihilatorSet.default(grading)
         for weight in (4, 5, 6, 7):
-            singular.find_singular(Q(-5, 3), weight, 0, grading)
+            monomials = enumerate_basis(algebra, VAC, weight, 0).monomials
+            matrices.append((singular.annihilator_rows(algebra, monomials, ann), len(monomials)))
     assert len(matrices) == 8
     for rows, ncols in matrices:
         assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols)

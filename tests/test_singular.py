@@ -4,8 +4,8 @@ import random
 import pytest
 
 from bpalgebra import singular
-from bpalgebra.arith import Poly2
-from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA, State, VAC
+from bpalgebra.arith import _PRIME, GFp, NotInvertibleModP, Poly2, kernel_basis
+from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA, ScalarState, State, VAC
 from bpalgebra.singular import (
     AnnihilatorSet,
     find_singular,
@@ -147,8 +147,10 @@ def _poly2_rows(algebra, monomials, ann):
 @pytest.mark.parametrize("grading", [BAR, OMEGA])
 @pytest.mark.parametrize("level", [Q(-5, 3), Q(-9, 4), Q(-1), Q(0)] + _random_levels(3, 8))
 def test_scalar_rows_match_the_poly2_engine(level, grading):
-    """The Q-scalar annihilator system equals the Q[x,y] engine's, entry by entry."""
+    """The Q-scalar annihilator system equals the Q[x,y] engine's, entry by
+    entry, and the GF(p) engine's system is its reduction mod p."""
     scalar, poly = singular._ScalarAlgebra(level, grading), BPAlgebra(level, grading)
+    modp = singular._ModPAlgebra(level, grading)
     ann = AnnihilatorSet.default(grading)
     for weight in range(8):
         for charge in (-1, 0, 1) if weight <= 5 else (0,):
@@ -156,6 +158,52 @@ def test_scalar_rows_match_the_poly2_engine(level, grading):
             rows = singular.annihilator_rows(scalar, monomials, ann)
             assert all(type(c) is Q for row in rows for c in row)
             assert rows == _poly2_rows(poly, monomials, ann), (weight, charge)
+            reduced = [[GFp.lift(c) for c in row] for row in rows]
+            assert singular.annihilator_rows(modp, monomials, ann) == reduced, (weight, charge)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(singular, "kernel_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_full_rank_mod_p_certifies_the_empty_kernel(grading, monkeypatch):
+    """At -5/3 only the rank-deficient weight-4 system reaches the exact kernel."""
+    calls = _count_kernel_calls(monkeypatch)
+    for weight in range(5, 9):
+        assert find_singular(Q(-5, 3), weight, 0, grading).dimension == 0
+    assert calls == []
+    assert find_singular(Q(-5, 3), 4, 0, grading).dimension == 1
+    assert calls == [13]
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_level_without_an_image_mod_p_falls_back_to_the_exact_kernel(grading, monkeypatch):
+    """At k = p - 3 the central charge has denominator k + 3 = p: the mod-p
+    engine refuses it, and find_singular solves the system over Q."""
+    level = Q(_PRIME - 3)
+    with pytest.raises(NotInvertibleModP):
+        GFp.lift(BPAlgebra(level, grading).central_charge)
+    calls = _count_kernel_calls(monkeypatch)
+    scalar, ann = singular._ScalarAlgebra(level, grading), AnnihilatorSet.default(grading)
+    for weight in (2, 3, 4):
+        monomials = enumerate_basis(scalar, VAC, weight, 0).monomials
+        with pytest.raises(NotInvertibleModP):
+            singular.annihilator_rows(singular._ModPAlgebra(level, grading), monomials, ann)
+        sol = find_singular(level, weight, 0, grading)
+        assert len(calls) == weight - 1
+        kernel = kernel_basis(singular.annihilator_rows(scalar, monomials, ann), len(monomials))
+        want = [singular.normalize_monic(ScalarState(terms={m: c for m, c in zip(monomials, vec) if c}))
+                for vec in kernel]
+        assert sol.space_dimension == len(monomials)
+        assert [{m: c.const_value() for m, c in v.terms.items()} for v in sol.vectors] == [w.terms for w in want]
 
 
 def test_scalar_engine_keeps_its_ring():
