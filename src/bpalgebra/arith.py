@@ -417,9 +417,7 @@ def rational_roots(p: Poly1):
     work = Poly1(a, var=p.var)
     if work.degree() >= 1:
         # Clear denominators: candidate roots r/s with r | a0, s | alead.
-        den_lcm = 1
-        for v in work.a:
-            den_lcm = den_lcm * v.denominator // _gcd(den_lcm, v.denominator)
+        den_lcm = math.lcm(*(v.denominator for v in work.a))
         ints = [int(v * den_lcm) for v in work.a]
         lead, trail = ints[-1], ints[0]
         candidates = set()
@@ -433,12 +431,6 @@ def rational_roots(p: Poly1):
                 work, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
                 assert rem.is_zero()
     return roots, work
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int):
@@ -547,7 +539,7 @@ def _lagrange(points, values):
     return coeffs
 
 
-# A 61-bit Mersenne prime: the modulus of the rank certificates.
+# A 61-bit Mersenne prime: the modulus of the rank certificate.
 _PRIME = 2**61 - 1
 
 
@@ -597,38 +589,20 @@ class GFp:
         return f"GFp({self.v})"
 
 
-def _integer_rows_mod_p(rows: list[list[Fraction]]) -> Iterable[dict[int, int]]:
-    """Each row scaled to an integer row by the lcm of its denominators, as sparse
-    {column: residue mod ``_PRIME``} dicts; no denominator is ever inverted mod p."""
-    for row in rows:
-        scale = math.lcm(*(v.denominator for v in row if v))
-        vec = {}
-        for c, v in enumerate(row):
-            value = v.numerator * (scale // v.denominator) % _PRIME
-            if value:
-                vec[c] = value
-        yield vec
+def rank_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> int:
+    """Rank mod ``_PRIME`` of sparse {column: residue} rows, which it consumes.
 
-
-def _pivot_rows_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> list[int]:
-    """Indices of the rows that become pivots of a row echelon form mod ``_PRIME``.
-
-    The rows are sparse {column: residue} dicts.  They are eliminated
-    sparsest first, which keeps the fill-in down, and the scan stops once
-    every column has a pivot.
+    The rows are eliminated sparsest first, which keeps the fill-in down, and
+    the scan stops once every column has a pivot.
     """
-    vectors = list(vectors)
     echelon: dict[int, dict[int, int]] = {}  # leading column -> row with leading entry 1
-    selected = []
-    for index in sorted(range(len(vectors)), key=lambda i: len(vectors[i])):
-        vec = vectors[index]
+    for vec in sorted(vectors, key=len):
         while vec:
             lead = min(vec)
             pivot = echelon.get(lead)
             if pivot is None:
                 inv = pow(vec[lead], -1, _PRIME)
                 echelon[lead] = {c: v * inv % _PRIME for c, v in vec.items()}
-                selected.append(index)
                 break
             factor = vec[lead]
             for c, v in pivot.items():
@@ -640,42 +614,17 @@ def _pivot_rows_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> list[int
                     del vec[c]
         if len(echelon) == ncols:
             break
-    return selected
+    return len(echelon)
 
 
-def _gauss_jordan_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis by dense Gauss-Jordan elimination over Q.
-
-    One vector per free column of the reduced row echelon form: 1 on its
-    free column, 0 on the other free columns.
-    """
-    m = [row[:] for row in rows]
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
-        if r == len(m):
-            break
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -m[pr][fc]
-        basis.append(vec)
-    return basis
+def _subtract(vec: dict, factor: Fraction, row: dict) -> None:
+    """``vec -= factor * row`` in place, on sparse rows over Q."""
+    for c, v in row.items():
+        value = vec.get(c, 0) - factor * v
+        if value:
+            vec[c] = value
+        else:
+            del vec[c]
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -686,27 +635,36 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
     the vector of a free column of the reduced row echelon form is 1 there
     and 0 on every other free column.
 
-    The rank is first computed modulo the prime p = 2^61 - 1 on the rows
-    scaled to integers.  Every minor of an integer matrix that is nonzero
-    mod p is nonzero over Q, so the rank mod p is at most the rank over Q:
-    when it equals ``ncols`` the kernel is {0}, and that is a proof.
-
-    Otherwise the exact Gauss-Jordan elimination runs on the rows that were
-    pivots mod p only.  Each resulting vector is checked over Q against every
-    row of the matrix; rows that fail join the selection and the solve is
-    repeated.  When every row passes, the selected rows have the same kernel
-    as the whole matrix, hence the same reduced row echelon form and the
-    same basis.  An unlucky prime costs time, never correctness.
+    The elimination is exact and sparse.  The rows are eliminated sparsest
+    first into an echelon form whose pivot rows lead with 1; back-substitution
+    then clears each pivot column from the other pivot rows.  The result is
+    the reduced row echelon form, which depends on the row space only, so the
+    order of the rows does not change the basis.
     """
-    chosen = set(_pivot_rows_mod_p(_integer_rows_mod_p(rows), ncols))
-    if len(chosen) == ncols:
-        return []
-    sparse = [[(c, v) for c, v in enumerate(row) if v] for row in rows]
-    while True:
-        basis = _gauss_jordan_kernel([rows[i] for i in sorted(chosen)], ncols)
-        failing = {
-            i for i, row in enumerate(sparse) if any(sum(v * vec[c] for c, v in row) for vec in basis)
-        }
-        if not failing:
-            return basis
-        chosen |= failing
+    echelon: dict[int, dict[int, Fraction]] = {}  # leading column -> row with leading entry 1
+    for vec in sorted(({c: v for c, v in enumerate(row) if v} for row in rows), key=len):
+        while vec:
+            lead = min(vec)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                inv = 1 / vec[lead]
+                echelon[lead] = {c: v * inv for c, v in vec.items()}
+                break
+            _subtract(vec, vec[lead], pivot)
+        if len(echelon) == ncols:
+            return []
+    # Last pivot first: a reduced row is 0 on every other pivot column, so
+    # subtracting it brings in free columns only.
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for c in [c for c in row if c != lead and c in echelon]:
+            _subtract(row, row[c], echelon[c])
+    zero = Fraction(0)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in echelon):
+        vec = [zero] * ncols
+        vec[fc] = Fraction(1)
+        for pc, row in echelon.items():
+            vec[pc] = -row.get(fc, zero)
+        basis.append(vec)
+    return basis

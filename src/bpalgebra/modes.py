@@ -109,7 +109,8 @@ class Bracket:
     are expanded with the normal-ordered splitting only when applied to a
     state, where finitely many terms survive.  ``linear`` lists (mode, coeff)
     and ``scalar`` is the central term with delta conditions already
-    evaluated.  Brackets are memoized per algebra, so they are immutable.
+    evaluated.  Brackets are memoized per algebra, so they are immutable;
+    the memoized ones hold their constants in the algebra's state ring.
     """
 
     j2: tuple = ()
@@ -488,10 +489,16 @@ class BPAlgebra(ModeAlgebra):
         )
 
     def bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] with both modes (and the result) in this convention, memoized."""
+        """[a, b] with both modes (and the result) in this convention, memoized
+        with its constants lifted once into the ring of ``state_type``."""
         out = self._bracket_memo.get((a, b))
         if out is None:
-            out = self._bracket_memo[(a, b)] = self._compute_bracket(a, b)
+            br, lift = self._compute_bracket(a, b), self.state_type.lift
+            out = self._bracket_memo[(a, b)] = Bracket(
+                j2=tuple((p, lift(c)) for p, c in br.j2),
+                linear=tuple((md, lift(c)) for md, c in br.linear),
+                scalar=lift(br.scalar),
+            )
         return out
 
     def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import GFp, NotInvertibleModP, Poly2, _pivot_rows_mod_p, kernel_basis
-from .modes import BAR, GM, GP, J, L, OMEGA, VAC, Bracket, BPAlgebra, ScalarState, State
+from .arith import GFp, NotInvertibleModP, Poly2, kernel_basis, rank_mod_p
+from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
 
@@ -66,7 +66,7 @@ class _ModPState(State):
 class _ModPAlgebra(BPAlgebra):
     """The vacuum engine over GF(p), p = 2^61 - 1.
 
-    Each bracket constant is lifted once, into this algebra's memo; one that
+    ``bracket`` lifts each constant once, into this algebra's memo; one that
     is not p-integral raises :class:`NotInvertibleModP`.  Every other step is
     a ring operation, so the rows it builds are the reductions mod p of the
     rows of :class:`_ScalarAlgebra`.
@@ -74,35 +74,26 @@ class _ModPAlgebra(BPAlgebra):
 
     state_type = _ModPState
 
-    def _compute_bracket(self, a, b) -> Bracket:
-        br, lift = super()._compute_bracket(a, b), GFp.lift
-        return Bracket(
-            j2=tuple((p, lift(c)) for p, c in br.j2),
-            linear=tuple((md, lift(c)) for md, c in br.linear),
-            scalar=lift(br.scalar),
-        )
 
+def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list[dict]:
+    """The stacked annihilator system on vacuum monomials (the columns), as
+    sparse {column: coefficient} rows.
 
-def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list:
-    """The stacked annihilator system on vacuum monomials (the columns).
-
-    Entries are the coefficients of ``algebra.state_type``: GF(p) or Q on
+    Coefficients lie in the ring of ``algebra.state_type``: GF(p) or Q on
     the engines :func:`find_singular` uses.
     """
     unit = algebra.state_type
-    zero = unit.lift(0)
     rows = []
     for mode in ann.modes:
         by_mono = {}
         for col, mono in enumerate(monomials):
             for mono2, coeff in algebra.apply_mode(mode, unit(terms={mono: unit.lift(1)})).terms.items():
                 by_mono.setdefault(mono2, {})[col] = coeff
-        rows.extend([row.get(c, zero) for c in range(len(monomials))]
-                    for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
+        rows.extend(row for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
     return rows
 
 
-def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSet | None = None) -> SingularSolution:
+def find_singular(k, weight, charge, convention: str = OMEGA) -> SingularSolution:
     """Exact kernel of the stacked annihilator system on a vacuum weight space.
 
     The system is first built mod p: full column rank there proves the
@@ -111,11 +102,13 @@ def find_singular(k, weight, charge, convention: str = OMEGA, ann: AnnihilatorSe
     their first canonical monomial.
     """
     algebra = _ScalarAlgebra(k, convention)
-    ann = ann or AnnihilatorSet.default(convention)
+    ann = AnnihilatorSet.default(convention)
     basis = enumerate_basis(algebra, VAC, weight, charge)
     kernel = []
     if not _full_rank_mod_p(_ModPAlgebra(k, convention), basis.monomials, ann):
-        kernel = kernel_basis(annihilator_rows(algebra, basis.monomials, ann), len(basis))
+        zero, n = Fraction(0), len(basis)
+        rows = annihilator_rows(algebra, basis.monomials, ann)
+        kernel = kernel_basis([[row.get(c, zero) for c in range(n)] for row in rows], n)
     vectors = []
     for vec in kernel:
         s = normalize_monic(ScalarState(terms={mono: c for mono, c in zip(basis.monomials, vec) if c}))
@@ -137,8 +130,7 @@ def _full_rank_mod_p(algebra: _ModPAlgebra, monomials, ann: AnnihilatorSet) -> b
         rows = annihilator_rows(algebra, monomials, ann)
     except NotInvertibleModP:
         return False
-    vectors = ({c: x.v for c, x in enumerate(row) if x} for row in rows)
-    return len(_pivot_rows_mod_p(vectors, len(monomials))) == len(monomials)
+    return rank_mod_p(({c: x.v for c, x in row.items()} for row in rows), len(monomials)) == len(monomials)
 
 
 def normalize_monic(s: ScalarState) -> ScalarState:

@@ -8,8 +8,6 @@ from bpalgebra.arith import (
     _PRIME,
     GFp,
     NotInvertibleModP,
-    _integer_rows_mod_p,
-    _pivot_rows_mod_p,
     POLY_X,
     POLY_Y,
     Poly1,
@@ -17,6 +15,7 @@ from bpalgebra.arith import (
     binomial,
     frac,
     kernel_basis,
+    rank_mod_p,
     rational_roots,
     resultant,
 )
@@ -182,7 +181,7 @@ def _reference_kernel(rows, ncols):
 
 
 def _random_sparse_matrix(rng):
-    """A sparse rational matrix with the shapes and entries that stress the mod-p pass."""
+    """A sparse rational matrix of varied shape, with entries that are multiples of p."""
     nrows, ncols = rng.choice([(rng.randint(0, 14), rng.randint(0, 8)), (rng.randint(0, 6), rng.randint(0, 12))])
 
     def entry():
@@ -231,16 +230,11 @@ def test_kernel_basis_matches_reference_on_random_matrices():
     cases = [([], 0), ([], 4), ([[]], 0), ([[], []], 0), ([[Q(_PRIME)]], 1), ([[Q(1, _PRIME), Q(1)]], 2)]
     cases += [_random_sparse_matrix(rng) for _ in range(100 - len(cases))]
     shapes = {"tall": 0, "wide": 0}
-    mod_p_rank_short = 0
     for rows, ncols in cases:
-        want = _reference_kernel(rows, ncols)
-        assert kernel_basis(rows, ncols) == want, (rows, ncols)
+        assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols), (rows, ncols)
         if rows and ncols:
             shapes["tall" if len(rows) > ncols else "wide"] += 1
-        mod_p_rank_short += len(_pivot_rows_mod_p(_integer_rows_mod_p(rows), ncols)) < ncols - len(want)
     assert min(shapes.values()) >= 20, shapes
-    # The verification loop, not only the certificate, must be exercised.
-    assert mod_p_rank_short >= 5
 
 
 def test_kernel_basis_matches_reference_on_ladder_matrices():
@@ -252,7 +246,9 @@ def test_kernel_basis_matches_reference_on_ladder_matrices():
         ann = singular.AnnihilatorSet.default(grading)
         for weight in (4, 5, 6, 7):
             monomials = enumerate_basis(algebra, VAC, weight, 0).monomials
-            matrices.append((singular.annihilator_rows(algebra, monomials, ann), len(monomials)))
+            rows = singular.annihilator_rows(algebra, monomials, ann)
+            assert all(row and all(type(v) is Q and v for v in row.values()) for row in rows)
+            matrices.append(([[row.get(c, Q(0)) for c in range(len(monomials))] for row in rows], len(monomials)))
     assert len(matrices) == 8
     for rows, ncols in matrices:
         assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols)
@@ -272,17 +268,36 @@ def _low_rank_matrix(rng):
     return rows, ncols
 
 
+def _low_rank_cases():
+    rng = random.Random(2019)
+    cases = [([], 0), ([], 5), ([[]], 0), ([[Q(0)] * 4 for _ in range(3)], 4)]
+    return cases + [_low_rank_matrix(rng) for _ in range(200)]
+
+
 def test_kernel_basis_matches_sympy_nullspace():
     """An independent oracle: sympy's nullspace, which also normalizes by free column."""
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(2019)
-    cases = [([], 0), ([], 5), ([[]], 0), ([[Q(0)] * 4 for _ in range(3)], 4)]
-    cases += [_low_rank_matrix(rng) for _ in range(200)]
-    for rows, ncols in cases:
+    for rows, ncols in _low_rank_cases():
         entries = [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row]
         matrix = sympy.Matrix(len(rows), ncols, entries)
         want = [[Q(int(v.p), int(v.q)) for v in vec] for vec in matrix.nullspace()]
         assert kernel_basis(rows, ncols) == want, (rows, ncols)
+
+
+def test_rank_mod_p_matches_the_exact_rank():
+    """The certificate's rank mod p against the rank of the exact kernel.
+
+    Rank mod p is at most the rank over Q; on these small entries it is equal,
+    and an entry that is a multiple of p shows the gap.
+    """
+    def lifted(rows):
+        return [{c: x.v for c, x in enumerate(map(GFp.lift, row)) if x} for row in rows]
+
+    for rows, ncols in _low_rank_cases():
+        assert rank_mod_p(lifted(rows), ncols) == ncols - len(kernel_basis(rows, ncols)), (rows, ncols)
+    rows = [[Q(_PRIME)]]
+    assert rank_mod_p(lifted(rows), 1) == 0
+    assert 1 - len(kernel_basis(rows, 1)) == 1
 
 
 def _sympy_linear_roots(sympy, expr, var) -> dict:

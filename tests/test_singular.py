@@ -130,7 +130,7 @@ def _random_levels(count, seed):
 
 
 def _poly2_rows(algebra, monomials, ann):
-    """The annihilator rows through the public Q[x,y] engine, read off by const_value()."""
+    """The sparse annihilator rows through the public Q[x,y] engine, read off by const_value()."""
     rows = []
     for mode in ann.modes:
         by_mono = {}
@@ -139,9 +139,12 @@ def _poly2_rows(algebra, monomials, ann):
             for mono2, coeff in image.terms.items():
                 assert coeff.is_const()
                 by_mono.setdefault(mono2, {})[col] = coeff.const_value()
-        for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])):
-            rows.append([row.get(c, Q(0)) for c in range(len(monomials))])
+        rows.extend(row for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
     return rows
+
+
+def _dense(rows, ncols):
+    return [[row.get(c, Q(0)) for c in range(ncols)] for row in rows]
 
 
 @pytest.mark.parametrize("grading", [BAR, OMEGA])
@@ -156,9 +159,9 @@ def test_scalar_rows_match_the_poly2_engine(level, grading):
         for charge in (-1, 0, 1) if weight <= 5 else (0,):
             monomials = enumerate_basis(poly, VAC, weight, charge).monomials
             rows = singular.annihilator_rows(scalar, monomials, ann)
-            assert all(type(c) is Q for row in rows for c in row)
+            assert all(type(c) is Q and c for row in rows for c in row.values())
             assert rows == _poly2_rows(poly, monomials, ann), (weight, charge)
-            reduced = [[GFp.lift(c) for c in row] for row in rows]
+            reduced = [{c: GFp.lift(v) for c, v in row.items()} for row in rows]
             assert singular.annihilator_rows(modp, monomials, ann) == reduced, (weight, charge)
 
 
@@ -199,7 +202,9 @@ def test_level_without_an_image_mod_p_falls_back_to_the_exact_kernel(grading, mo
             singular.annihilator_rows(singular._ModPAlgebra(level, grading), monomials, ann)
         sol = find_singular(level, weight, 0, grading)
         assert len(calls) == weight - 1
-        kernel = kernel_basis(singular.annihilator_rows(scalar, monomials, ann), len(monomials))
+        rows = singular.annihilator_rows(scalar, monomials, ann)
+        assert all(type(c) is Q and c for row in rows for c in row.values())
+        kernel = kernel_basis(_dense(rows, len(monomials)), len(monomials))
         want = [singular.normalize_monic(ScalarState(terms={m: c for m, c in zip(monomials, vec) if c}))
                 for vec in kernel]
         assert sol.space_dimension == len(monomials)
