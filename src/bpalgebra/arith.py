@@ -8,8 +8,10 @@ appears anywhere in the library.  Two small polynomial types are provided:
 * :class:`Poly1` -- univariate polynomials over Q with exact rational root
   extraction, used by the elimination machinery.
 
-The Sylvester resultant is computed by evaluation/interpolation so that all
-intermediate linear algebra stays over Q.
+The linear algebra has one elimination each.  :func:`_echelon` is the sparse
+row echelon form behind both :func:`rank_mod_p` (mod a prime) and
+:func:`kernel_basis` (over Q).  The Sylvester resultant is a determinant over
+Q[t], taken by Bareiss's fraction-free elimination, whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -462,81 +464,29 @@ def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly1:
     n, m = p.degree_in(eliminate), q.degree_in(eliminate)
     if n == 0 and m == 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    prow = [p.coeff_of(eliminate, n - i) for i in range(n + 1)]
-    qrow = [q.coeff_of(eliminate, m - i) for i in range(m + 1)]
+    prow = [p.coeff_of(eliminate, n - i).as_poly1_in(keep) for i in range(n + 1)]
+    qrow = [q.coeff_of(eliminate, m - i).as_poly1_in(keep) for i in range(m + 1)]
     size = n + m
-    if size == 0:
-        return Poly1([1], var=keep)
-    matrix = []
-    for shift in range(m):
-        row = [Poly2()] * size
-        for i, entry in enumerate(prow):
-            row[shift + i] = entry
-        matrix.append(row)
-    for shift in range(n):
-        row = [Poly2()] * size
-        for i, entry in enumerate(qrow):
-            row[shift + i] = entry
-        matrix.append(row)
-    # Degree bound for det as polynomial in the kept variable.
-    bound = sum(max((e.degree_in(keep) for e in row if e), default=0) for row in matrix)
-    points, values = [], []
-    t = 0
-    while len(points) <= bound:
-        pt = Fraction(t)
-        # Entries are univariate in ``keep``.
-        scalar = [[entry.specialize(keep, pt)[0] for entry in row] for row in matrix]
-        values.append(_det_fraction(scalar))
-        points.append(pt)
-        t += 1
-    coeffs = _lagrange(points, values)
-    return Poly1(coeffs, var=keep)
-
-
-def _det_fraction(matrix) -> Fraction:
-    """Determinant over Q by fraction-free-ish Gaussian elimination."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for cc in range(col, size):
-                    m[r][cc] -= factor * m[col][cc]
-    return det
-
-
-def _lagrange(points, values):
-    """Coefficients of the interpolating polynomial through (points, values)."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if not yi:
-            continue
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, cv in enumerate(basis):
-                new[d] -= cv * xj
-                new[d + 1] += cv
-            basis = new
-        scale = yi / denom
-        for d, cv in enumerate(basis):
-            coeffs[d] += cv * scale
-    return coeffs
+    zero = Poly1(var=keep)
+    matrix = [[zero] * s + prow + [zero] * (m - 1 - s) for s in range(m)]
+    matrix += [[zero] * s + qrow + [zero] * (n - 1 - s) for s in range(n)]
+    # Bareiss: after step k, entry (i, j) is the minor on rows 0..k, i and
+    # columns 0..k, j, so dividing by the previous pivot is exact over Q[t].
+    sign, prev = 1, Poly1([1], var=keep)
+    for k in range(size - 1):
+        if matrix[k][k].is_zero():
+            swap = next((r for r in range(k + 1, size) if not matrix[r][k].is_zero()), None)
+            if swap is None:
+                return zero
+            matrix[k], matrix[swap] = matrix[swap], matrix[k]
+            sign = -sign
+        pivot = matrix[k]
+        for row in matrix[k + 1:]:
+            for j in range(k + 1, size):
+                row[j], rem = (row[j] * pivot[k] - row[k] * pivot[j]).divmod_exact(prev)
+                assert rem.is_zero()
+        prev = pivot[k]
+    return matrix[-1][-1] * sign
 
 
 # A 61-bit Mersenne prime: the modulus of the rank certificate.
@@ -589,38 +539,42 @@ class GFp:
         return f"GFp({self.v})"
 
 
-def rank_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> int:
-    """Rank mod ``_PRIME`` of sparse {column: residue} rows, which it consumes.
+def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None) -> dict[int, dict]:
+    """Row echelon form of sparse {column: value} rows, which it consumes.
 
-    The rows are eliminated sparsest first, which keeps the fill-in down, and
-    the scan stops once every column has a pivot.
+    Over Q, or mod ``p`` when it is given.  Returns {leading column: row}
+    with every row scaled to a leading 1.  The rows are eliminated sparsest
+    first, which keeps the fill-in down, and the scan stops once every
+    column has a pivot.
     """
-    echelon: dict[int, dict[int, int]] = {}  # leading column -> row with leading entry 1
+    echelon: dict[int, dict] = {}
     for vec in sorted(vectors, key=len):
         while vec:
             lead = min(vec)
             pivot = echelon.get(lead)
             if pivot is None:
-                inv = pow(vec[lead], -1, _PRIME)
-                echelon[lead] = {c: v * inv % _PRIME for c, v in vec.items()}
+                inv = pow(vec[lead], -1, p)
+                row = {c: v * inv for c, v in vec.items()}
+                echelon[lead] = {c: v % p for c, v in row.items()} if p else row
                 break
-            factor = vec[lead]
-            for c, v in pivot.items():
-                # A column missing from vec gets -factor * v, never 0 mod p.
-                value = (vec.get(c, 0) - factor * v) % _PRIME
-                if value:
-                    vec[c] = value
-                else:
-                    del vec[c]
+            _subtract(vec, vec[lead], pivot, p)
         if len(echelon) == ncols:
             break
-    return len(echelon)
+    return echelon
 
 
-def _subtract(vec: dict, factor: Fraction, row: dict) -> None:
-    """``vec -= factor * row`` in place, on sparse rows over Q."""
+def rank_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> int:
+    """Rank mod ``_PRIME`` of sparse {column: residue} rows, which it consumes."""
+    return len(_echelon(vectors, ncols, _PRIME))
+
+
+def _subtract(vec: dict, factor, row: dict, p: int | None = None) -> None:
+    """``vec -= factor * row`` in place, on sparse rows over Q or mod ``p``."""
     for c, v in row.items():
+        # A column missing from vec gets -factor * v, never 0 in a field.
         value = vec.get(c, 0) - factor * v
+        if p:
+            value %= p
         if value:
             vec[c] = value
         else:
@@ -635,24 +589,14 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
     the vector of a free column of the reduced row echelon form is 1 there
     and 0 on every other free column.
 
-    The elimination is exact and sparse.  The rows are eliminated sparsest
-    first into an echelon form whose pivot rows lead with 1; back-substitution
-    then clears each pivot column from the other pivot rows.  The result is
-    the reduced row echelon form, which depends on the row space only, so the
-    order of the rows does not change the basis.
+    The elimination is exact and sparse: :func:`_echelon`, then
+    back-substitution clears each pivot column from the other pivot rows.
+    The result is the reduced row echelon form, which depends on the row
+    space only, so the order of the rows does not change the basis.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}  # leading column -> row with leading entry 1
-    for vec in sorted(({c: v for c, v in enumerate(row) if v} for row in rows), key=len):
-        while vec:
-            lead = min(vec)
-            pivot = echelon.get(lead)
-            if pivot is None:
-                inv = 1 / vec[lead]
-                echelon[lead] = {c: v * inv for c, v in vec.items()}
-                break
-            _subtract(vec, vec[lead], pivot)
-        if len(echelon) == ncols:
-            return []
+    echelon = _echelon(({c: v for c, v in enumerate(row) if v} for row in rows), ncols)
+    if len(echelon) == ncols:
+        return []
     # Last pivot first: a reduced row is 0 on every other pivot column, so
     # subtracting it brings in free columns only.
     for lead in sorted(echelon, reverse=True):

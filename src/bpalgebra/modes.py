@@ -256,9 +256,8 @@ class ModeAlgebra:
       for the iterate recursion.
 
     A subclass also sets ``state_type`` and creates the memo dicts
-    ``_insert_memo`` and ``_action_memo``.  Their values are shared between
-    results: ``_insert`` stores frozen tuples of (monomial, coefficient)
-    pairs, and every method accumulates into a state of its own.
+    ``_insert_memo`` and ``_action_memo``.  Memo values are frozen tuples of
+    (monomial, coefficient) pairs, so no result can alias a memo table.
 
     Modes of composite states follow the Borcherds iterate recursion: for a
     monomial a u with head generator a,
@@ -330,43 +329,44 @@ class ModeAlgebra:
         out = self.state_type(base=w.base)
         for umono, ucoeff in u.terms.items():
             for wmono, wcoeff in w.terms.items():
-                out.add_scaled(self._mono_product(umono, p, wmono, w.base).terms.items(), ucoeff * wcoeff)
+                out.add_scaled(self._mono_product(umono, p, wmono, w.base), ucoeff * wcoeff)
         return out
 
-    def _mono_product(self, umono: tuple, p: int, wmono: tuple, base: str) -> State:
+    def _mono_product(self, umono: tuple, p: int, wmono: tuple, base: str) -> tuple:
+        """``umono_(p) wmono`` as (monomial, coefficient) pairs."""
         key = (umono, p, wmono, base)
         memo = self._action_memo
         hit = memo.get(key)
         if hit is not None:
             return hit
-        wstate = self.state_type(base=base)
-        wstate.add_term(wmono, 1)
+        lift = self.state_type.lift
         if not umono:
-            result = wstate if p == -1 else self.state_type(base=base)
-            memo[key] = result
+            result = memo[key] = ((wmono, lift(1)),) if p == -1 else ()
             return result
         head, rest = umono[0], umono[1:]
         gen, m = head[0], self.product_index(head)
         w_weight = self.monomial_weight(wmono)
-        result = self.state_type(base=base)
+        total = self.state_type(base=base)
         # Head sum: a_(m-j) (rest_(p+j) w).  x_(n) w has weight
         # wt(x) + wt(w) - n - 1 and vanishes when that is negative.
         for j in range(math.floor(self.monomial_weight(rest) + w_weight - p)):
             coeff = Q(-1) ** j * binomial(m, j)
             if coeff:
                 inner = self._mono_product(rest, p + j, wmono, base)
-                if not inner.is_zero():
-                    result.add_scaled(self.apply_mode(self.product_mode(gen, m - j), inner).terms.items(), coeff)
+                if inner:
+                    inner_state = self.state_type(base=base, terms=dict(inner))
+                    total.add_scaled(self.apply_mode(self.product_mode(gen, m - j), inner_state).terms.items(), coeff)
         # Tail sum: rest_(m+p-j) (a_(j) w); a_(j) w has weight
         # weight(product_mode(gen, j)) + wt(w), one less for each step in j.
         koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
         tail_sign = koszul * (1 if m % 2 else -1)
+        wstate = self.state_type(base=base, terms={wmono: lift(1)})
         for j in range(math.floor(self.weight(self.product_mode(gen, 0)) + w_weight) + 1):
             coeff = Q(-1) ** j * binomial(m, j) * tail_sign
             if coeff:
                 for mono2, c2 in self.apply_mode(self.product_mode(gen, j), wstate).terms.items():
-                    result.add_scaled(self._mono_product(rest, m + p - j, mono2, base).terms.items(), coeff * c2)
-        memo[key] = result
+                    total.add_scaled(self._mono_product(rest, m + p - j, mono2, base), coeff * c2)
+        result = memo[key] = tuple(total.terms.items())
         return result
 
 

@@ -20,8 +20,6 @@ from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, join_signed
 from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
 from .weightspace import top_vector
 
-_GEN_DEGREE = {J: 1, L: 2, GP: 1, GM: 2}
-
 
 def g_poly(k) -> Poly2:
     """The Smith-algebra bracket polynomial at level k."""
@@ -318,19 +316,14 @@ class ZhuReducer:
             result = self.smith.one()
         else:
             (gen, n), rest = mono[0], mono[1:]
-            d = _GEN_DEGREE[gen]
-            boundary = self.algebra.creation_bound(gen, VAC)
+            # A canonical vacuum mode has n <= boundary = -(generator weight).
+            d = -self.algebra.creation_bound(gen, VAC)
             rest_state = State(VAC, {rest: Poly2.const(1)})
-            if n < boundary:
-                result = self.smith.zero()
-                for j in range(1, d + 1):
-                    moved = self.algebra.apply_mode((gen, n + j), rest_state)
-                    result = result - self.reduce_state(moved).scaled(binomial(d, j))
-            else:
-                result = self._gen_image(gen) * self.reduce_state(rest_state)
-                for j in range(1, d + 1):
-                    moved = self.algebra.apply_mode((gen, boundary + j), rest_state)
-                    result = result - self.reduce_state(moved).scaled(binomial(d, j))
+            # The boundary mode n == -d is peeled with the star product.
+            result = self._gen_image(gen) * self.reduce_state(rest_state) if n == -d else self.smith.zero()
+            for j in range(1, d + 1):
+                moved = self.algebra.apply_mode((gen, n + j), rest_state)
+                result = result - self.reduce_state(moved).scaled(binomial(d, j))
         self._memo[mono] = result
         return result
 

@@ -334,22 +334,31 @@ def test_resultant_and_rational_roots_match_sympy():
         deg = rng.randint(1, 2)
         return Poly2({(i, j): rng.randint(-3, 3) for i in range(deg + 1) for j in range(deg + 1 - i)})
 
-    checked = 0
+    x_, y_ = POLY_X, POLY_Y
+    cases = [
+        # A zero pivot in the Bareiss elimination: a row swap.
+        (x_**3 + y_, x_**2 + x_ * y_, "x"),
+        (x_**2 * y_ + x_ + 1, x_ * y_ + 1, "x"),
+        # A pivot column that is zero below the diagonal: the resultant is 0.
+        (x_**2 - y_, x_**2 - y_, "x"),
+    ]
     for _ in range(60):
         p, q = random_poly2(), random_poly2()
-        for var in ("x", "y"):
-            if not p or not q or p.degree_in(var) == q.degree_in(var) == 0:
-                continue
-            ours = resultant(p, q, var)
-            want = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), variables[var]))
-            assert sympy.expand(poly1_to_sympy(ours) - want) == 0
-            if ours.is_zero():
-                continue
-            keep = variables[ours.var]
-            roots, cofactor = rational_roots(ours)
-            assert roots == _sympy_linear_roots(sympy, want, keep)
-            assert cofactor.degree() == ours.degree() - sum(roots.values())
-            checked += 1
+        cases += [(p, q, var) for var in ("x", "y")]
+    checked = 0
+    for p, q, var in cases:
+        if not p or not q or p.degree_in(var) == q.degree_in(var) == 0:
+            continue
+        ours = resultant(p, q, var)
+        want = sympy.expand(sympy.resultant(to_sympy(p), to_sympy(q), variables[var]))
+        assert sympy.expand(poly1_to_sympy(ours) - want) == 0
+        if ours.is_zero():
+            continue
+        keep = variables[ours.var]
+        roots, cofactor = rational_roots(ours)
+        assert roots == _sympy_linear_roots(sympy, want, keep)
+        assert cofactor.degree() == ours.degree() - sum(roots.values())
+        checked += 1
     assert checked >= 100
 
     t = variables["x"]

@@ -155,11 +155,22 @@ def test_mathematical_mismatch_exits_1(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
-@pytest.mark.parametrize("name, argv", sorted(_suites().items()))
+# Outputs no benchmark suite covers, pinned in tests/reference (name -> argv).
+_PINNED = {
+    "classify_m1": ["classify", "--level", "-1"],
+    "classify_m9_4": ["classify", "--level", "-9/4"],
+    "singular_m5_3_w4_check": ["singular", "--level", "-5/3", "--weight", "4", "--check"],
+    "singular_m5_3_w6_bar": ["singular", "--level", "-5/3", "--weight", "6", "--grading", "bar"],
+    "zhu_0": ["zhu", "--level", "0"],
+}
+
+
+@pytest.mark.parametrize("name, argv", sorted(_suites().items()) + sorted(_PINNED.items()))
 def test_suite_json_is_byte_identical_to_reference(capsys, name, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    assert out == (_BENCH / "reference" / f"{name}.json").read_text()
+    reference = Path(__file__).resolve().parent / "reference" if name in _PINNED else _BENCH / "reference"
+    assert out == (reference / f"{name}.json").read_text()
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
