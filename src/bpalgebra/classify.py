@@ -2,12 +2,14 @@
 
 The classifier is an auditable re-derivation: every weight it emits is tagged
 with the branch (polynomial system, diagonal equation, or boundary filter)
-that produced it, and every exclusion carries the reason.  Nothing is looked
-up; the audit trail is what the tests check.
+that produced it, and every exclusion carries the reason; the audit trail is
+what the tests check.  At a rational level the golden singular vector is the
+one input: the projection filter, the Smith relation c E^P (Y - y0) with its
+power P and line y0, and the filter's weight are all derived from it.
 
 Branch structure for the two rational levels (integer-graded weights (x, y)):
 the Zhu relation forces either a nilpotency degree for the charge-raising
-zero mode (giving h_1 or h_2 conditions combined with the spectral-flow
+zero mode (giving h_i conditions, i <= P, combined with the spectral-flow
 shift of the weight) or the fixed eigenvalue y = y0 of the relation's second
 factor, where candidates are cut down by the projection polynomial of the
 singular vector and the contragredient symmetry.
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
-from .modes import BAR, BPAlgebra
-from .tables import RATIONAL_LEVELS, golden_tables, table_state
+from .modes import BAR, BPAlgebra, State
+from .tables import RATIONAL_LEVELS, table_state
 from .weightspace import contragredient_weight
-from .zhu import h_in_i, h_poly, zero_mode_poly
+from .zhu import h_in_i, h_poly, relation_line, smith_relation, zero_mode_poly
 
 SUPPORTED_LEVELS = (Q(-5, 3), Q(-9, 4), Q(-1), Q(0))
 
@@ -66,34 +68,22 @@ def solve_system(p: Poly2, q: Poly2):
         roots, cofactor = rational_roots(res)
         candidates_x.update(roots)
         complete = complete and cofactor.is_const()
-    solutions = []
+    solutions = []  # sorted and distinct: by x, then by the sorted fiber roots
     for xv in sorted(candidates_x):
-        col = p.specialize("x", xv)
-        col_q = q.specialize("x", xv)
-        ys, flag_complete = _common_univariate_roots(col, col_q)
+        ys, flag_complete = _common_univariate_roots(p.specialize("x", xv), q.specialize("x", xv))
         complete = complete and flag_complete
-        for yv in ys:
-            if p.eval(xv, yv) == 0 and q.eval(xv, yv) == 0:
-                solutions.append((xv, yv))
-    solutions = sorted(set(solutions))
+        solutions.extend((xv, yv) for yv in ys if p.eval(xv, yv) == 0 and q.eval(xv, yv) == 0)
     return solutions, complete
 
 
 def _common_univariate_roots(p: Poly1, q: Poly1):
     if p.is_zero() and q.is_zero():
         raise IdenticalSystem("both polynomials vanish identically on a fiber")
-    complete = True
-    ys = set()
-    for poly in (p, q):
-        if poly.is_zero() or poly.is_const():
-            continue
-        roots, cofactor = rational_roots(poly)
-        ys.update(roots)
-        complete = complete and cofactor.is_const()
-        break  # roots of the first nonconstant polynomial suffice; both re-checked
-    if not ys and (p.is_const() and not p.is_zero() or q.is_const() and not q.is_zero()):
-        return [], True
-    return sorted(ys), complete
+    if any(poly.is_const() and not poly.is_zero() for poly in (p, q)):
+        return [], True  # a nonzero constant has no root: the fiber is empty
+    # Roots of the first nonzero polynomial suffice; both are re-checked.
+    roots, cofactor = rational_roots(q if p.is_zero() else p)
+    return sorted(roots), cofactor.is_const()
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +130,18 @@ def _psi_shift(k: Fraction, i: int):
     return px, py
 
 
-def projection_filter(k: Fraction) -> Poly2:
-    """The singular-vector projection in the bar labels: U or V at (x, y+x/2)."""
+def _singular_vector(k: Fraction) -> tuple[BPAlgebra, State]:
+    """The golden singular vector of a rational level, on the bar algebra."""
     level = frac(k)
     if level not in RATIONAL_LEVELS:
         raise UnsupportedLevel(f"no singular-vector filter at level {level}")
-    state = table_state(RATIONAL_LEVELS[level].singular)
-    return zero_mode_poly(BPAlgebra(level, BAR), state, BAR)
+    bar = BPAlgebra(level, BAR)
+    return bar, table_state(RATIONAL_LEVELS[level].singular, bar)
+
+
+def projection_filter(k: Fraction) -> Poly2:
+    """The singular-vector projection in the bar labels: U or V at (x, y+x/2)."""
+    return zero_mode_poly(*_singular_vector(k), BAR)
 
 
 def infinite_top_certificates(k, weights) -> list[Certificate]:
@@ -185,10 +180,11 @@ def _classify_rational(k: Fraction) -> WeightSet:
     Every finite candidate must pass the projection filter; the candidates
     on y = y0 are cut down by the filter and by the contragredient weight.
     """
-    data = RATIONAL_LEVELS[k]
-    filt = projection_filter(k)
-    reason = "fails the weight-{} projection filter".format(golden_tables()[data.singular]["weight"])
-    h = {i: h_poly(i, k) for i in range(1, data.power + 1)}
+    bar, singular = _singular_vector(k)
+    filt = zero_mode_poly(bar, singular, BAR)
+    power, y0 = relation_line(smith_relation(bar, singular))
+    reason = "fails the weight-{} projection filter".format(bar.state_weight(singular))
+    h = {i: h_poly(i, k) for i in range(1, power + 1)}
     branches = []
 
     def add(name, description, system, sols, candidates, complete):
@@ -216,7 +212,6 @@ def _classify_rational(k: Fraction) -> WeightSet:
                     [diag], sols, sols, cofactor.is_const())
     finite = sorted({s for br in branches for s in br.admitted})
 
-    y0 = data.y0
     bound_poly = filt.specialize("y", y0)
     roots, cofactor = rational_roots(bound_poly)
     candidates = sorted((r, y0) for r in roots)
@@ -232,10 +227,14 @@ def _classify_rational(k: Fraction) -> WeightSet:
         "boundary-y", f"projection filter on the line y = {y0}",
         [str(bound_poly)], candidates, admitted, excluded, cofactor.is_const()))
 
-    ws = WeightSet(k, finite, admitted, branches=branches,
-                   certificates=infinite_top_certificates(k, admitted))
-    _attach_common_checks(ws, filt)
-    return ws
+    # Per-weight invariants recorded on the result (tested downstream).
+    checks = []
+    for (xv, yv) in finite:
+        checks.append((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0))
+        checks.append((f"h1 or h2 vanishes at ({xv},{yv})", any(hi.eval(xv, yv) == 0 for hi in h.values())))
+    checks.extend((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0) for (xv, yv) in admitted)
+    return WeightSet(k, finite, admitted, branches=branches, identities=checks,
+                     certificates=infinite_top_certificates(k, admitted))
 
 
 def _classify_minus_one(k: Fraction) -> WeightSet:
@@ -278,18 +277,6 @@ def _classify_zero(k: Fraction) -> WeightSet:
         flags=flags,
         flagged_corner=corner,
     )
-
-
-def _attach_common_checks(ws: WeightSet, filt: Poly2) -> None:
-    """Per-weight invariants recorded on the result (tested downstream)."""
-    checks = []
-    for (xv, yv) in ws.finite_top:
-        checks.append((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0))
-        hvals = [h_poly(i, ws.k).eval(xv, yv) for i in (1, 2)]
-        checks.append((f"h1 or h2 vanishes at ({xv},{yv})", Q(0) in hvals))
-    for (xv, yv) in ws.infinite_top:
-        checks.append((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0))
-    ws.identities.extend(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .arith import Q, frac
 from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, mode_str, parse_mode
 from .weightspace import enumerate_basis, weight_bound
 from .singular import find_singular, scale_to_match, verify_singular
-from .zhu import SmithAlgebra, SmithWord, ZhuReducer, h_closed_form, h_poly, smith_relation, zero_mode_poly, zhu_star
+from .zhu import SmithWord, ZhuReducer, h_closed_form, h_poly, relation_line, smith_relation, zero_mode_poly, zhu_star
 from .classify import UnsupportedLevel, classify_level, pi0_bracket_identity
 from .freefield import (
     check_embedding,
@@ -147,8 +147,8 @@ def cmd_singular(args) -> tuple[dict, bool]:
 def cmd_zhu(args) -> tuple[dict, bool]:
     level = _parse_level(args.level)
     algebra = BPAlgebra(level, BAR)
-    sm = SmithAlgebra(level)
     red = ZhuReducer(algebra)
+    sm = red.smith
     rows = []
 
     jst = algebra.normal_form([(J, -1)])
@@ -200,11 +200,12 @@ def cmd_zhu(args) -> tuple[dict, bool]:
             "poly": str(proj),
             "golden_match": proj_ok,
         }
-        relation = smith_relation(algebra, singular, data.power)
+        relation = smith_relation(algebra, singular)
         rel_ok = relation == SmithWord.from_json(sm, golden[data.relation]["word"])
         ok = ok and rel_ok
         report["smith_relation"] = {
-            "power": data.power,
+            # A mismatched relation may have no (P, y0) shape; its word is the witness.
+            "power": relation_line(relation)[0] if rel_ok else None,
             "word": str(relation),
             "golden_match": rel_ok,
         }

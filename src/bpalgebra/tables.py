@@ -8,7 +8,6 @@ copy of the data.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 import json
@@ -90,23 +89,21 @@ def singular_table_name(level, weight, charge: int, convention: str) -> str | No
 
 
 class RationalLevel(NamedTuple):
-    """The Smith relation E^power (Y - y0) = 0 at a rational level.
+    """The golden names of a rational level's data; its power and y0 are derived.
 
-    ``singular`` names the golden singular vector (bar grading) that yields
-    it, ``projection`` its zero-mode projection and ``relation`` the relation
-    word, both in ``zhu.json``.
+    ``singular`` names the golden singular vector (bar grading), ``projection``
+    its zero-mode projection and ``relation`` its Smith relation word, both in
+    ``zhu.json``; see ``zhu.smith_relation`` and ``zhu.relation_line``.
     """
 
     singular: str
     projection: str
     relation: str
-    power: int
-    y0: Fraction
 
 
 RATIONAL_LEVELS = {
-    Q(-5, 3): RationalLevel("omega4_bar", "U", "smith_relation_5_3", 2, Q(-1, 9)),
-    Q(-9, 4): RationalLevel("omega3_bar", "V", "smith_relation_9_4", 1, Q(-1, 2)),
+    Q(-5, 3): RationalLevel("omega4_bar", "U", "smith_relation_5_3"),
+    Q(-9, 4): RationalLevel("omega3_bar", "V", "smith_relation_9_4"),
 }
 
 

@@ -147,8 +147,8 @@ class SmithAlgebra:
         self._ef_memo: dict[tuple[int, int], "SmithWord"] = {}
 
     def __eq__(self, other):
-        # The base of a SmithWord; cmd_zhu and ZhuReducer build separate
-        # instances at one level, and their words must compare equal.
+        # The base of a SmithWord; each ZhuReducer (cmd_zhu's, smith_relation's)
+        # builds its own instance, and words at one level must compare equal.
         return isinstance(other, SmithAlgebra) and self.k == other.k
 
     def zero(self) -> "SmithWord":
@@ -332,9 +332,20 @@ def zhu_reduce(algebra: BPAlgebra, s: State) -> SmithWord:
     return ZhuReducer(algebra).reduce_state(s)
 
 
-def smith_relation(algebra: BPAlgebra, singular: State, power: int) -> SmithWord:
-    """Zhu image of G+(0)^power applied to a singular vector."""
-    s = singular
-    for _ in range(power):
-        s = algebra.apply_mode((GP, 0), s)
-    return zhu_reduce(algebra, s)
+def smith_relation(algebra: BPAlgebra, singular: State) -> SmithWord:
+    """Zhu image of G+(0)^P s for a singular vector s, P maximal with G+(0)^P s != 0."""
+    # G+(0) raises the charge at a fixed weight, so the string ends.
+    while not (raised := algebra.apply_mode((GP, 0), singular)).is_zero():
+        singular = raised
+    return zhu_reduce(algebra, singular)
+
+
+def relation_line(word: SmithWord) -> tuple[int, Q]:
+    """(P, y0) of a Smith relation c * E^P * (Y - y0), c a nonzero constant.
+
+    Any other shape is refused, not guessed: an F power, several terms, the zero word, no Y factor."""
+    if len(word.terms) == 1:
+        ((a, d), poly), = word.terms.items()
+        if not a and d and poly.degree_in("x") == 0 and poly.degree_in("y") == 1:
+            return d, -poly.eval(0, 0) / poly.coeff_of("y", 1).const_value()
+    raise ValueError(f"not a relation c*E^P*(Y - y0): {word}")

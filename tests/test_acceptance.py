@@ -196,11 +196,11 @@ def test_criterion_5_smith_layer():
         [([parse_mode(t) for t in w], Q(c)) for w, c in golden_zhu()["gp0_squared_omega4_bar"]]
     )
     assert twice == want
-    rel = smith_relation(bar, vec, 2)
+    rel = smith_relation(bar, vec)
     assert rel == (sm.E() * sm.E() * (sm.Y() + sm.one().scaled(Q(1, 9)))).scaled(44)
     bar94 = BPAlgebra(Q(-9, 4), BAR)
     sm94 = SmithAlgebra(Q(-9, 4))
-    rel94 = smith_relation(bar94, omega3_bar(bar94), 1)
+    rel94 = smith_relation(bar94, omega3_bar(bar94))
     c_engine = Q(3, 4)  # engine-derived constant, frozen as a golden value
     assert rel94 == (sm94.E() * (sm94.Y() + sm94.one().scaled(Q(1, 2)))).scaled(c_engine)
     assert not rel94.is_zero()

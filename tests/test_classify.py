@@ -12,9 +12,10 @@ from bpalgebra.classify import (
     projection_filter,
     solve_system,
 )
-from bpalgebra.tables import RATIONAL_LEVELS, golden_classify, golden_zhu
+from bpalgebra.modes import BAR, GP, BPAlgebra
+from bpalgebra.tables import RATIONAL_LEVELS, golden_classify, golden_zhu, table_state
 from bpalgebra.weightspace import contragredient_weight, spectral_flow_weight
-from bpalgebra.zhu import SmithAlgebra, SmithWord, h_poly
+from bpalgebra.zhu import SmithAlgebra, SmithWord, h_poly, relation_line, smith_relation
 
 
 def fr_pairs(pairs):
@@ -34,6 +35,16 @@ def test_solve_system_examples():
     assert sols == [(Q(0), Q(0))] and complete
     with pytest.raises(IdenticalSystem):
         solve_system(POLY_X + POLY_Y, POLY_X + POLY_Y)
+
+
+def test_solve_system_constant_fiber_is_complete():
+    """A fiber on which one polynomial is a nonzero constant has provably no root.
+
+    The resultant is 2x^3 (constant cofactor); at x = 0 the fiber of p,
+    y^3 - 2y, has irrational roots, but q = 1 there.
+    """
+    x, y = POLY_X, POLY_Y
+    assert solve_system(x * y**4 + y**3 - 2 * y, x * y + 1) == ([], True)
 
 
 def test_classify_level_5_3():
@@ -68,14 +79,21 @@ def test_classify_level_9_4():
 
 @pytest.mark.parametrize("level", sorted(RATIONAL_LEVELS))
 def test_rational_level_table_matches_golden_relation(level):
-    """The golden relation word is c * E^power * (Y - y0) for the table's power and y0."""
+    """P and y0 derived from the singular vector give the golden word c * E^P * (Y - y0)."""
     data = RATIONAL_LEVELS[level]
-    sm = SmithAlgebra(level)
-    word = SmithWord.from_json(sm, golden_zhu()[data.relation]["word"])
-    assert golden_zhu()[data.relation]["power"] == data.power
+    bar = BPAlgebra(level, BAR)
+    singular = table_state(data.singular, bar)
+    power, y0 = relation_line(smith_relation(bar, singular))
+    assert golden_zhu()[data.relation]["power"] == power
+    word = SmithWord.from_json(SmithAlgebra(level), golden_zhu()[data.relation]["word"])
     (key, poly), = word.terms.items()
-    assert key == (0, data.power)
-    assert poly == poly.coeff_of("y", 1) * (POLY_Y - data.y0)
+    assert key == (0, power)
+    assert poly == poly.coeff_of("y", 1) * (POLY_Y - y0)
+    # P is the length of the G+(0) string: G+(0)^P s != 0 and G+(0)^(P+1) s = 0.
+    for _ in range(power):
+        singular = bar.apply_mode((GP, 0), singular)
+    assert not singular.is_zero()
+    assert bar.apply_mode((GP, 0), singular).is_zero()
 
 
 def test_classify_minus_one_parabola():

@@ -155,22 +155,40 @@ def test_mathematical_mismatch_exits_1(capsys, monkeypatch):
     assert "overall: FAIL" in out
 
 
+def test_zhu_relation_without_a_line_exits_1(capsys, monkeypatch):
+    """A relation with no (Y - y0) factor is a mismatch with its word as witness, not a crash."""
+    import bpalgebra.cli as cli
+
+    bad = cli.tables.table_state("omega4_bar").copy()
+    bad.add_term((("G+", -1), ("G-", -3)), 1)  # the G+(0) string then ends at -12*E^3
+    monkeypatch.setattr(cli.tables, "table_state", lambda name, algebra=None: bad)
+    code, out, _ = run(capsys, "zhu", "--level", "-5/3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["smith_relation"] == {"power": None, "word": "-12*E^3", "golden_match": False}
+
+
 # Outputs no benchmark suite covers, pinned in tests/reference (name -> argv).
+# A name ending in .md pins the default markdown report; any other, the JSON one.
 _PINNED = {
     "classify_m1": ["classify", "--level", "-1"],
     "classify_m9_4": ["classify", "--level", "-9/4"],
     "singular_m5_3_w4_check": ["singular", "--level", "-5/3", "--weight", "4", "--check"],
     "singular_m5_3_w6_bar": ["singular", "--level", "-5/3", "--weight", "6", "--grading", "bar"],
     "zhu_0": ["zhu", "--level", "0"],
+    "classify_m5_3.md": ["classify", "--level", "-5/3"],
+    "classify_m9_4.md": ["classify", "--level", "-9/4"],
+    "zhu_m5_3.md": ["zhu", "--level", "-5/3"],
+    "zhu_m9_4.md": ["zhu", "--level", "-9/4"],
 }
 
 
-@pytest.mark.parametrize("name, argv", sorted(_suites().items()) + sorted(_PINNED.items()))
+@pytest.mark.parametrize("name, argv", sorted(_suites().items()) + list(_PINNED.items()))
 def test_suite_json_is_byte_identical_to_reference(capsys, name, argv):
-    code, out, _ = run(capsys, *argv, "--format", "json")
+    markdown = name.endswith(".md")
+    code, out, _ = run(capsys, *argv, *([] if markdown else ["--format", "json"]))
     assert code == 0
     reference = Path(__file__).resolve().parent / "reference" if name in _PINNED else _BENCH / "reference"
-    assert out == (reference / f"{name}.json").read_text()
+    assert out == (reference / (name if markdown else f"{name}.json")).read_text()
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):

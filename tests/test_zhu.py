@@ -5,6 +5,7 @@ import pytest
 
 from bpalgebra.arith import POLY_X, POLY_Y, Poly1, Poly2
 from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA
+from bpalgebra.singular import integral_level_vector
 from bpalgebra.tables import golden_poly, golden_zhu, omega3_bar, omega4_bar
 from bpalgebra.zhu import (
     SmithAlgebra,
@@ -13,6 +14,7 @@ from bpalgebra.zhu import (
     h_closed_form,
     h_in_i,
     h_poly,
+    relation_line,
     smith_relation,
     zero_mode_poly,
     zhu_reduce,
@@ -169,7 +171,7 @@ def test_five_term_expansion_and_relation():
         [([parse_mode(t) for t in w], Q(c)) for w, c in golden_zhu()["gp0_squared_omega4_bar"]]
     )
     assert twice == want
-    rel = smith_relation(bar, vec, 2)
+    rel = smith_relation(bar, vec)
     expected = (sm.E() * sm.E() * (sm.Y() + sm.one().scaled(Q(1, 9)))).scaled(44)
     assert rel == expected
     assert str(rel) == "44*E^2*Y + 44/9*E^2"
@@ -178,10 +180,27 @@ def test_five_term_expansion_and_relation():
 def test_weight3_relation_engine_constant():
     bar = BPAlgebra(Q(-9, 4), BAR)
     sm = SmithAlgebra(Q(-9, 4))
-    rel = smith_relation(bar, omega3_bar(bar), 1)
+    rel = smith_relation(bar, omega3_bar(bar))
     expected = (sm.E() * (sm.Y() + sm.one().scaled(Q(1, 2)))).scaled(Q(3, 4))
     assert rel == expected
     assert not rel.is_zero()
+
+
+def test_relation_line_refuses_other_shapes():
+    """Only c * E^P * (Y - y0) is read; E^P without a Y factor is refused, not guessed."""
+    for k, n in ((Q(0), 2), (Q(-1), 1)):
+        bar = BPAlgebra(k, BAR)
+        word = smith_relation(bar, integral_level_vector(bar, "+", n))
+        assert word == SmithAlgebra(k).E() ** n
+        with pytest.raises(ValueError):
+            relation_line(word)
+    sm = SmithAlgebra(Q(-5, 3))
+    line = sm.Y() + sm.one().scaled(Q(1, 9))
+    assert relation_line(sm.E() * sm.E() * line) == (2, Q(-1, 9))
+    for word in (sm.F() * sm.E() ** 2, sm.F() * sm.E() ** 2 * line, sm.E() * line + sm.E() ** 2 * line,
+                 sm.zero(), line):
+        with pytest.raises(ValueError):
+            relation_line(word)
 
 
 def test_reduce_of_singular_vector_acts_as_projection():
@@ -205,7 +224,7 @@ def test_reduce_of_singular_vector_acts_as_projection():
 def test_smith_relation_words_kill_admitted_top_levels():
     """The derived relation annihilates exactly the admitted eigenvalues."""
     bar = BPAlgebra(Q(-5, 3), BAR)
-    rel = smith_relation(bar, omega4_bar(bar), 2)
+    rel = smith_relation(bar, omega4_bar(bar))
     action = rel.top_level_action(bar)
     # G+(0)^2 (Y + 1/9): zero on y = -1/9 tops and wherever G+(0)^2 vanishes.
     poly = action.coefficient(((GP, 0), (GP, 0)))
