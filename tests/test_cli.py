@@ -179,6 +179,7 @@ _PINNED = {
     "classify_m9_4.md": ["classify", "--level", "-9/4"],
     "zhu_m5_3.md": ["zhu", "--level", "-5/3"],
     "zhu_m9_4.md": ["zhu", "--level", "-9/4"],
+    "classify_0.md": ["classify", "--level", "0"],
 }
 
 
