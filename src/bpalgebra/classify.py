@@ -3,16 +3,16 @@
 The classifier is an auditable re-derivation: every weight it emits is tagged
 with the branch (polynomial system, diagonal equation, or boundary filter)
 that produced it, and every exclusion carries the reason; the audit trail is
-what the tests check.  At a rational level the golden singular vector is the
-one input: the projection filter, the Smith relation c E^P (Y - y0) with its
-power P and line y0, and the filter's weight are all derived from it.
+what the tests check.  One singular vector per level is the only input
+(golden at -5/3 and -9/4, G+(-1)^{k+2} 1 at -1 and 0); the Smith relation
+c E^P (Y - y0) or c E^P, with P and y0, and the projection filter derive from it.
 
-Branch structure for the two rational levels (integer-graded weights (x, y)):
-the Zhu relation forces either a nilpotency degree for the charge-raising
-zero mode (giving h_i conditions, i <= P, combined with the spectral-flow
-shift of the weight) or the fixed eigenvalue y = y0 of the relation's second
-factor, where candidates are cut down by the projection polynomial of the
-singular vector and the contragredient symmetry.
+The relation forces a nilpotency degree for the charge-raising zero mode
+(h_i conditions, i <= P).  With no Y factor each h_i = 0 is a curve family.
+Otherwise the h_i zeros combine with the spectral-flow shift of the weight,
+or the weight has the eigenvalue y = y0 of the relation's second factor, where
+candidates are cut down by the projection polynomial and the contragredient
+symmetry.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from fractions import Fraction
 
 from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
 from .modes import BAR, BPAlgebra, State
+from .singular import integral_level_vector
 from .tables import RATIONAL_LEVELS, table_state
-from .weightspace import contragredient_weight
+from .weightspace import contragredient_weight, spectral_flow_weight, top_action
 from .zhu import h_in_i, h_poly, relation_line, smith_relation, zero_mode_poly
 
 SUPPORTED_LEVELS = (Q(-5, 3), Q(-9, 4), Q(-1), Q(0))
@@ -122,21 +123,15 @@ class WeightSet:
     flagged_corner: tuple | None = None  # (x, y) the flag names; checked, never rendered
 
 
-def _psi_shift(k: Fraction, i: int):
-    """Polynomial substitution realizing the flow-shifted weight arguments."""
-    lam = (2 * k + 3) / 3
-    px = POLY_X + (i - 1 - lam)
-    py = POLY_Y - POLY_X - (i - 1 - lam)
-    return px, py
-
-
-def _singular_vector(k: Fraction) -> tuple[BPAlgebra, State]:
-    """The golden singular vector of a rational level, on the bar algebra."""
+def _singular_vector(k) -> tuple[BPAlgebra, State]:
+    """The bar-graded singular vector: golden at a rational level, G+(-1)^{k+2} 1 at -1 and 0."""
     level = frac(k)
-    if level not in RATIONAL_LEVELS:
-        raise UnsupportedLevel(f"no singular-vector filter at level {level}")
+    if level not in SUPPORTED_LEVELS:
+        raise UnsupportedLevel(f"level {level} is not in the supported set")
     bar = BPAlgebra(level, BAR)
-    return bar, table_state(RATIONAL_LEVELS[level].singular, bar)
+    if level in RATIONAL_LEVELS:
+        return bar, table_state(RATIONAL_LEVELS[level].singular, bar)
+    return bar, integral_level_vector(bar, "+", int(level) + 2)
 
 
 def projection_filter(k: Fraction) -> Poly2:
@@ -161,17 +156,16 @@ def infinite_top_certificates(k, weights) -> list[Certificate]:
 
 
 def classify_level(k) -> WeightSet:
-    level = frac(k)
-    if level in RATIONAL_LEVELS:
-        return _classify_rational(level)
-    if level == Q(-1):
-        return _classify_minus_one(level)
-    if level == Q(0):
-        return _classify_zero(level)
-    raise UnsupportedLevel(f"level {level} is not in the supported set")
+    """Weights from the Smith relation: c E^P (Y - y0) gives points, a bare c E^P curves."""
+    bar, singular = _singular_vector(k)
+    power, y0 = relation_line(smith_relation(bar, singular))
+    h = {i: h_poly(i, bar.k) for i in range(1, power + 1)}
+    if y0 is None:
+        return _classify_families(bar, h)
+    return _classify_rational(bar, singular, h, y0)
 
 
-def _classify_rational(k: Fraction) -> WeightSet:
+def _classify_rational(bar: BPAlgebra, singular: State, h: dict, y0: Fraction) -> WeightSet:
     """Branches of the Smith relation E^P (Y - y0) = 0.
 
     A top level of dimension i <= P satisfies h_i = 0.  Off the diagonal
@@ -180,11 +174,9 @@ def _classify_rational(k: Fraction) -> WeightSet:
     Every finite candidate must pass the projection filter; the candidates
     on y = y0 are cut down by the filter and by the contragredient weight.
     """
-    bar, singular = _singular_vector(k)
+    k = bar.k
     filt = zero_mode_poly(bar, singular, BAR)
-    power, y0 = relation_line(smith_relation(bar, singular))
     reason = "fails the weight-{} projection filter".format(bar.state_weight(singular))
-    h = {i: h_poly(i, k) for i in range(1, power + 1)}
     branches = []
 
     def add(name, description, system, sols, candidates, complete):
@@ -195,7 +187,7 @@ def _classify_rational(k: Fraction) -> WeightSet:
 
     for i, hi in h.items():
         line = "x" if i == 1 else f"x+{i - 1}"
-        px, py = _psi_shift(k, i)
+        px, py = spectral_flow_weight(POLY_X, POLY_Y, i, k)
         for j, hj in h.items():
             shifted = hj.subst(px, py)
             sols, complete = solve_system(hi, shifted)
@@ -229,54 +221,40 @@ def _classify_rational(k: Fraction) -> WeightSet:
 
     # Per-weight invariants recorded on the result (tested downstream).
     checks = []
+    vanishes = " or ".join(f"h{i}" for i in h) + " vanishes"
     for (xv, yv) in finite:
         checks.append((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0))
-        checks.append((f"h1 or h2 vanishes at ({xv},{yv})", any(hi.eval(xv, yv) == 0 for hi in h.values())))
+        checks.append((f"{vanishes} at ({xv},{yv})", any(hi.eval(xv, yv) == 0 for hi in h.values())))
     checks.extend((f"filter({xv},{yv}) == 0", filt.eval(xv, yv) == 0) for (xv, yv) in admitted)
     return WeightSet(k, finite, admitted, branches=branches, identities=checks,
                      certificates=infinite_top_certificates(k, admitted))
 
 
-def _classify_minus_one(k: Fraction) -> WeightSet:
-    # h1 vanishes exactly on the parabola y = (3x^2 - x)/2.
-    h1 = h_poly(1, k)
-    parabola = POLY_Y - (3 * POLY_X**2 - POLY_X) * Q(1, 2)
-    lead = h1.coeff_of("y", 1).const_value()
-    factors_through = (h1 - parabola * lead) == Poly2()
-    ws = WeightSet(
-        k, [], [],
-        finite_families=[("y = 3/2*x^2 - 1/2*x", "dim1 family: h1(x, 3/2 x^2 - 1/2 x) = 0")],
-        identities=[("h1 == (k+3)*(y - 3/2 x^2 + 1/2 x)", factors_through)],
-    )
-    return ws
+def _classify_families(bar: BPAlgebra, h: dict) -> WeightSet:
+    """Families of E^P = 0: an i-dimensional top level lies on h_i = 0, that is y = f_i(x).
 
-
-def _classify_zero(k: Fraction) -> WeightSet:
-    h1 = h_poly(1, k)
-    h2 = h_poly(2, k)
-    fam0 = h1.subst(POLY_X, POLY_X**2 - POLY_X)  # y = x^2 - x
-    fam1 = h2.subst(POLY_X, POLY_X**2)  # y = x^2
-    identities = [
-        ("h1(x, x^2 - x) == 0", fam0 == Poly2()),
-        ("h2(x, x^2) == 0", fam1 == Poly2()),
-    ]
-    flags, corner = [], None
-    if h2.eval(0, 0) == 0 and h1.eval(0, 0) == 0:
-        corner = (Q(0), Q(0))
-        flags.append(
-            "x = 0 on the dim-2 family: h1(0,0) = h2(0,0) = 0; the top level "
-            "degenerates to a 2-dimensional indecomposable module"
-        )
-    return WeightSet(
-        k, [], [],
-        finite_families=[
-            ("y = x^2 - x", "dim1 family"),
-            ("y = x^2", "dim2 family (x != 0)"),
-        ],
-        identities=identities,
-        flags=flags,
-        flagged_corner=corner,
-    )
+    Where an h_j, j < i, also vanishes, G-(0) kills w_j: that corner is left
+    out and flagged, as the top level degenerates to an indecomposable module.
+    The identity rows come from the mode engine: G-(0) w_i = 0 on y = f_i(x).
+    """
+    families, identities, flags, corners = [], [], [], []
+    for i, hi in h.items():
+        f = hi.coeff_of("y", 0) * (-1 / hi.coeff_of("y", 1).const_value())
+        curve = f.as_poly1_in("x")
+        note = f"dim{i} family"
+        for j in range(1, i):
+            for r in sorted(set(rational_roots(h[j].subst(POLY_X, f).as_poly1_in("x"))[0])):
+                yv = curve.eval(r)
+                note += f" (x != {r})"
+                corners.append((r, yv))
+                flags.append(f"x = {r} on the dim-{i} family: h{j}({r},{yv}) = h{i}({r},{yv}) = 0; "
+                             f"the top level degenerates to a {i}-dimensional indecomposable module")
+        families.append((f"y = {curve}", note))
+        action = top_action(bar, "F", i)
+        identities.append((f"h{i}(x, {curve}) == 0", not any(c.subst(POLY_X, f) for c in action.terms.values())))
+    # Several corners name no single point, and the golden check then fails.
+    return WeightSet(bar.k, [], [], finite_families=families, identities=identities,
+                     flags=flags, flagged_corner=corners[0] if len(corners) == 1 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def cmd_zhu(args) -> tuple[dict, bool]:
     data = tables.RATIONAL_LEVELS.get(level)
     if data is not None:
         golden = tables.golden_zhu()
-        singular = tables.table_state(data.singular)
+        singular = tables.table_state(data.singular, algebra)
         proj = zero_mode_poly(algebra, singular, OMEGA)
         proj_ok = proj == tables.golden_poly(data.projection)
         ok = ok and proj_ok

@@ -188,10 +188,10 @@ def conjugate_weight_omega(x, y):
 
 
 def spectral_flow_weight(x, y, i: int, k):
-    """Highest weight of the spectral-flow twist, given dim(top level) = i."""
+    """Highest weight of the spectral-flow twist, given dim(top level) = i; x, y may be polynomials."""
     if i < 1:
         raise ValueError("the top-level dimension is at least 1")
-    x, y, k = frac(x), frac(y), frac(k)
+    k = frac(k)
     lam = (2 * k + 3) / 3
     return (x + i - 1 - lam, y - x - i + 1 + lam)
 

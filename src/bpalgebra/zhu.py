@@ -340,12 +340,13 @@ def smith_relation(algebra: BPAlgebra, singular: State) -> SmithWord:
     return zhu_reduce(algebra, singular)
 
 
-def relation_line(word: SmithWord) -> tuple[int, Q]:
-    """(P, y0) of a Smith relation c * E^P * (Y - y0), c a nonzero constant.
+def relation_line(word: SmithWord) -> tuple[int, Q | None]:
+    """(P, y0) of a Smith relation c * E^P * (Y - y0), or (P, None) of c * E^P; c a nonzero constant.
 
-    Any other shape is refused, not guessed: an F power, several terms, the zero word, no Y factor."""
+    Any other shape is refused, not guessed: an F power, several terms, the
+    zero word, P = 0, x in the coefficient, or Y^2."""
     if len(word.terms) == 1:
         ((a, d), poly), = word.terms.items()
-        if not a and d and poly.degree_in("x") == 0 and poly.degree_in("y") == 1:
-            return d, -poly.eval(0, 0) / poly.coeff_of("y", 1).const_value()
-    raise ValueError(f"not a relation c*E^P*(Y - y0): {word}")
+        if not a and d and poly.degree_in("x") == 0 and poly.degree_in("y") <= 1:
+            return d, None if poly.is_const() else -poly.eval(0, 0) / poly.coeff_of("y", 1).const_value()
+    raise ValueError(f"not a relation c*E^P*(Y - y0) or c*E^P: {word}")

@@ -180,6 +180,7 @@ _PINNED = {
     "zhu_m5_3.md": ["zhu", "--level", "-5/3"],
     "zhu_m9_4.md": ["zhu", "--level", "-9/4"],
     "classify_0.md": ["classify", "--level", "0"],
+    "classify_m1.md": ["classify", "--level", "-1"],
 }
 
 
@@ -256,3 +257,16 @@ def test_integral_level_golden_mismatch_exits_1(capsys, monkeypatch, level, fami
     assert code == 1
     assert data["status"] == "fail"
     assert data["golden"] == cli.tables.golden_classify()[level]
+
+
+def test_integral_identity_rows_come_from_the_mode_engine(capsys, monkeypatch):
+    """A wrong h_i moves each family off its true locus, and the rows computed from G-(0) w_i fail."""
+    import bpalgebra.classify as classify
+    from bpalgebra.arith import POLY_X
+
+    true_h = classify.h_poly
+    monkeypatch.setattr(classify, "h_poly", lambda i, k: true_h(i, k) + POLY_X)
+    code, out, _ = run(capsys, "classify", "--level", "0", "--format", "json")
+    rows = json.loads(out)["identities"]
+    assert code == 1
+    assert len(rows) == 2 and not any(row["ok"] for row in rows)

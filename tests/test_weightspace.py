@@ -128,6 +128,9 @@ def test_spectral_flow_orbit_identities(identities, k):
         # The stated top dimension is consistent with the h-polynomial zero.
         assert h_poly(i, k).eval(x, y) == 0
         assert spectral_flow_weight(x, y, i, k) == (xh, yh)
+        # The same map on polynomials in the weight, evaluated at (x, y).
+        px, py = spectral_flow_weight(POLY_X, POLY_Y, i, k)
+        assert (px.eval(x, y), py.eval(x, y)) == (xh, yh)
         assert spectral_flow_weight_inverse(xh, yh, i, k) == (x, y)
 
 

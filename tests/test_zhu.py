@@ -187,18 +187,17 @@ def test_weight3_relation_engine_constant():
 
 
 def test_relation_line_refuses_other_shapes():
-    """Only c * E^P * (Y - y0) is read; E^P without a Y factor is refused, not guessed."""
+    """c * E^P * (Y - y0) reads as (P, y0) and a bare c * E^P as (P, None); other shapes are refused."""
     for k, n in ((Q(0), 2), (Q(-1), 1)):
         bar = BPAlgebra(k, BAR)
         word = smith_relation(bar, integral_level_vector(bar, "+", n))
         assert word == SmithAlgebra(k).E() ** n
-        with pytest.raises(ValueError):
-            relation_line(word)
+        assert relation_line(word) == (n, None)
     sm = SmithAlgebra(Q(-5, 3))
     line = sm.Y() + sm.one().scaled(Q(1, 9))
     assert relation_line(sm.E() * sm.E() * line) == (2, Q(-1, 9))
     for word in (sm.F() * sm.E() ** 2, sm.F() * sm.E() ** 2 * line, sm.E() * line + sm.E() ** 2 * line,
-                 sm.zero(), line):
+                 sm.zero(), line, sm.X() * sm.E() ** 2, sm.E() ** 2 * sm.Y() * sm.Y()):
         with pytest.raises(ValueError):
             relation_line(word)
 
