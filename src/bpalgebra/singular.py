@@ -10,15 +10,17 @@ the corresponding mode is genuinely positive and belongs to the default set.
 
 An empty kernel is certified from the rows built mod p = 2^61 - 1: full
 column rank mod p proves full column rank over Q, and the exact path over Q
-runs only when that certificate fails.
+runs only when that certificate fails.  Both engines and their memos are
+reused by every call at one (level, grading); only the latest pair is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .arith import GFp, NotInvertibleModP, Poly2, kernel_basis, rank_mod_p
+from .arith import GFp, NotInvertibleModP, Poly2, frac, kernel_basis, rank_mod_p
 from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
@@ -75,6 +77,12 @@ class _ModPAlgebra(BPAlgebra):
     state_type = _ModPState
 
 
+@lru_cache(maxsize=1)
+def _engines(k: Fraction, convention: str) -> tuple[_ScalarAlgebra, _ModPAlgebra]:
+    """The engines over Q and over GF(p) at one (level, grading)."""
+    return _ScalarAlgebra(k, convention), _ModPAlgebra(k, convention)
+
+
 def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list[dict]:
     """The stacked annihilator system on vacuum monomials (the columns), as
     sparse {column: coefficient} rows.
@@ -99,13 +107,14 @@ def find_singular(k, weight, charge, convention: str = OMEGA) -> SingularSolutio
     The system is first built mod p: full column rank there proves the
     kernel is {0}.  Otherwise it is built over Q scalars and solved exactly;
     the returned basis vectors are Q[x,y] states, normalized to be monic in
-    their first canonical monomial.
+    their first canonical monomial.  One engine pair per (level, grading),
+    :func:`_engines`, is reused with its memos; only the latest pair is kept.
     """
-    algebra = _ScalarAlgebra(k, convention)
+    algebra, modp = _engines(frac(k), convention)
     ann = AnnihilatorSet.default(convention)
     basis = enumerate_basis(algebra, VAC, weight, charge)
     kernel = []
-    if not _full_rank_mod_p(_ModPAlgebra(k, convention), basis.monomials, ann):
+    if not _full_rank_mod_p(modp, basis.monomials, ann):
         zero, n = Fraction(0), len(basis)
         rows = annihilator_rows(algebra, basis.monomials, ann)
         kernel = kernel_basis([[row.get(c, zero) for c in range(n)] for row in rows], n)

@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -222,3 +224,69 @@ def test_scalar_engine_keeps_its_ring():
     for s in states:
         assert type(s) is singular.ScalarState and not s.is_zero()
         assert all(type(c) is Q for c in s.terms.values())
+
+
+# find_singular reuses one engine pair per (level, grading) across calls
+# (singular._engines).  The cold side clears that cache before every call,
+# which is the engine-per-call path it replaced.
+
+_WARM_LEVEL = Q(-5, 3)
+_OTHER_CASES = [(Q(-9, 4), 3, 0, BAR), (Q(0), 4, 0, BAR), (Q(-1, 2), 3, 0, BAR)]
+
+
+def _level_cases(grading, weights):
+    return [(_WARM_LEVEL, w, c, grading) for w in weights for c in ((-1, 0, 1) if w <= 4 else (0,))]
+
+
+def _summary(sol):
+    return sol.dimension, sol.space_dimension, [v.to_json() for v in sol.vectors]
+
+
+def _cold(case):
+    singular._engines.cache_clear()
+    return _summary(find_singular(*case))
+
+
+@pytest.fixture(scope="module")
+def cold_results():
+    cases = _level_cases(BAR, range(2, 8)) + _level_cases(OMEGA, range(2, 8)) + _OTHER_CASES
+    return {case: _cold(case) for case in cases}
+
+
+@pytest.mark.parametrize("weights", [range(2, 8), range(7, 1, -1)], ids=["ascending", "descending"])
+def test_warm_engines_match_cold_engines(cold_results, weights):
+    """Warm calls equal cold ones, with the levels interleaved as -5/3, -9/4
+    (and 0, -1/2), -5/3 and each level's gradings back to back: an engine
+    keyed without its level or its grading would answer for the wrong one."""
+    order = (
+        _level_cases(BAR, weights) + _level_cases(OMEGA, weights)
+        + _OTHER_CASES
+        + _level_cases(OMEGA, weights) + _level_cases(BAR, weights)
+    )
+    singular._engines.cache_clear()
+    for case in order:
+        assert _summary(find_singular(*case)) == cold_results[case], case
+    assert singular._engines.cache_info().hits > 0
+
+
+def test_only_the_latest_engine_pair_is_kept():
+    singular._engines.cache_clear()
+    find_singular("-5/3", 4, 0, BAR)
+    find_singular(Q(-5, 3), 5, 0, BAR)
+    assert singular._engines.cache_info()[:2] == (1, 1)  # "-5/3" and Q(-5, 3) share one pair
+    first = weakref.ref(singular._engines(Q(-5, 3), BAR)[1])
+    find_singular(Q(-9, 4), 3, 0, BAR)
+    assert singular._engines.cache_info().currsize == 1
+    gc.collect()
+    assert first() is None
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_refused_lift_leaves_the_engines_sound(grading):
+    """At k = p - 3 the mod-p engine raises partway through its rows; the
+    next call on that pair, and the next level, still equal a cold call."""
+    level = Q(_PRIME - 3)
+    want = [_cold((level, w, 0, grading)) for w in (2, 3)] + [_cold((_WARM_LEVEL, 4, 0, grading))]
+    singular._engines.cache_clear()
+    got = [_summary(find_singular(level, w, 0, grading)) for w in (2, 3)]
+    assert got + [_summary(find_singular(_WARM_LEVEL, 4, 0, grading))] == want
