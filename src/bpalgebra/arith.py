@@ -10,8 +10,10 @@ appears anywhere in the library.  Two small polynomial types are provided:
 
 The linear algebra has one elimination each.  :func:`_echelon` is the sparse
 row echelon form behind both :func:`rank_mod_p` (mod a prime) and
-:func:`kernel_basis` (over Q).  The Sylvester resultant is a determinant over
-Q[t], taken by Bareiss's fraction-free elimination, whose divisions are exact.
+:func:`kernel_basis` (over Q).  Elements of GF(p) are plain ``int``
+residues in [0, p), and :func:`residue` maps a rational to one.  The
+Sylvester resultant is a determinant over Q[t], taken by Bareiss's
+fraction-free elimination, whose divisions are exact.
 """
 
 from __future__ import annotations
@@ -497,46 +499,20 @@ class NotInvertibleModP(ArithmeticError):
     """A rational whose denominator is divisible by ``_PRIME`` has no image in GF(p)."""
 
 
-class GFp:
-    """An element of GF(p) for p = ``_PRIME``, held as its residue in [0, p).
+def residue(value) -> int:
+    """The image of an int or Fraction in GF(p), p = ``_PRIME``, as its
+    residue in [0, p); raises :class:`NotInvertibleModP`.
 
-    ``lift`` is the reduction Z_(p) -> GF(p).  It is a ring homomorphism, so
-    a matrix computed with lifted constants is the reduction of the rational
-    one, and a nonzero minor mod p proves a nonzero minor over Q.
+    This is the reduction Z_(p) -> GF(p), a ring homomorphism, so a matrix
+    computed with lifted constants is the reduction of the rational one, and
+    a nonzero minor mod p proves a nonzero minor over Q.
     """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = v
-
-    @staticmethod
-    def lift(value) -> "GFp":
-        """The image of an int or Fraction; raises :class:`NotInvertibleModP`."""
-        if isinstance(value, int):
-            return GFp(value % _PRIME)
-        den = value.denominator % _PRIME
-        if not den:
-            raise NotInvertibleModP(f"{value} has no image mod {_PRIME}")
-        return GFp(value.numerator * pow(den, -1, _PRIME) % _PRIME)
-
-    def __add__(self, other: "GFp") -> "GFp":
-        return GFp((self.v + other.v) % _PRIME)
-
-    def __mul__(self, other: "GFp") -> "GFp":
-        return GFp(self.v * other.v % _PRIME)
-
-    def __neg__(self) -> "GFp":
-        return GFp(-self.v % _PRIME)
-
-    def __bool__(self) -> bool:
-        return self.v != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GFp) and self.v == other.v
-
-    def __repr__(self) -> str:
-        return f"GFp({self.v})"
+    if isinstance(value, int):
+        return value % _PRIME
+    den = value.denominator % _PRIME
+    if not den:
+        raise NotInvertibleModP(f"{value} has no image mod {_PRIME}")
+    return value.numerator * pow(den, -1, _PRIME) % _PRIME
 
 
 def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None) -> dict[int, dict]:

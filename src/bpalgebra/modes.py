@@ -538,12 +538,20 @@ class BPAlgebra(ModeAlgebra):
         return self.apply_bracket(self.bracket(m, head), rest_state)
 
     def apply_bracket(self, br: Bracket, s: State, act=None) -> State:
-        """Apply a bracket result to s, each mode acting through ``act``
-        (default :meth:`apply_mode`)."""
-        act = act or self.apply_mode
+        """Apply a bracket result to s.
+
+        A linear term coeff * md adds the pairs of md on each monomial of s,
+        scaled once by coeff times that monomial's coefficient.  The pairs
+        come from :meth:`_insert`, or, when a state action ``act`` is given
+        (the spectral-flow twist), from ``act`` on that monomial alone.
+        """
         out = s.scaled(br.scalar) if br.scalar else type(s)(base=s.base)
+        pairs = self._insert if act is None else (
+            lambda md, mono, base: act(md, type(s)(base=base, terms={mono: s.lift(1)})).terms.items()
+        )
         for md, coeff in br.linear:
-            out.add_scaled(act(md, s).terms.items(), coeff)
+            for mono, c in s.terms.items():
+                out.add_scaled(pairs(md, mono, s.base), coeff * c)
         for p, coeff in br.j2:
             out.add_scaled(self.apply_j2(p, s, act).terms.items(), coeff)
         return out

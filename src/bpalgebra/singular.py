@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import GFp, NotInvertibleModP, Poly2, frac, kernel_basis, rank_mod_p
+from .arith import _PRIME, NotInvertibleModP, Poly2, frac, kernel_basis, rank_mod_p, residue
 from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
@@ -58,20 +58,35 @@ class _ScalarAlgebra(BPAlgebra):
 
 
 class _ModPState(State):
-    """A vacuum state with coefficients in GF(p)."""
+    """A vacuum state with coefficients in GF(p), as int residues in [0, p)."""
 
     __slots__ = ()
-    ring = GFp
-    lift = staticmethod(GFp.lift)
+    ring = int
+    lift = staticmethod(residue)
+
+    def add_scaled(self, pairs, factor=None) -> None:
+        """:meth:`State.add_scaled` mod p: every sum and product is reduced,
+        and a zero residue is never stored."""
+        if factor is None:
+            factor = 1
+        elif type(factor) is not int:  # an int needs no lift: the sums are reduced
+            factor = residue(factor)
+        terms = self.terms
+        for mono, coeff in pairs:
+            coeff = (terms.get(mono, 0) + coeff * factor) % _PRIME
+            if coeff:
+                terms[mono] = coeff
+            else:
+                terms.pop(mono, None)
 
 
 class _ModPAlgebra(BPAlgebra):
-    """The vacuum engine over GF(p), p = 2^61 - 1.
+    """The vacuum engine over GF(p), p = 2^61 - 1, on int residues.
 
     ``bracket`` lifts each constant once, into this algebra's memo; one that
     is not p-integral raises :class:`NotInvertibleModP`.  Every other step is
-    a ring operation, so the rows it builds are the reductions mod p of the
-    rows of :class:`_ScalarAlgebra`.
+    a ring operation reduced mod p by :class:`_ModPState`, so the rows it
+    builds are the reductions mod p of the rows of :class:`_ScalarAlgebra`.
     """
 
     state_type = _ModPState
@@ -139,7 +154,7 @@ def _full_rank_mod_p(algebra: _ModPAlgebra, monomials, ann: AnnihilatorSet) -> b
         rows = annihilator_rows(algebra, monomials, ann)
     except NotInvertibleModP:
         return False
-    return rank_mod_p(({c: x.v for c, x in row.items()} for row in rows), len(monomials)) == len(monomials)
+    return rank_mod_p(rows, len(monomials)) == len(monomials)
 
 
 def normalize_monic(s: ScalarState) -> ScalarState:

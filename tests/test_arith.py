@@ -6,7 +6,6 @@ import pytest
 from bpalgebra import singular
 from bpalgebra.arith import (
     _PRIME,
-    GFp,
     NotInvertibleModP,
     POLY_X,
     POLY_Y,
@@ -17,6 +16,7 @@ from bpalgebra.arith import (
     kernel_basis,
     rank_mod_p,
     rational_roots,
+    residue,
     resultant,
 )
 from bpalgebra.modes import BAR, OMEGA, VAC
@@ -212,17 +212,22 @@ def _random_sparse_matrix(rng):
 
 
 def test_gfp_lift_is_a_ring_homomorphism():
+    """The residue map Z_(p) -> GF(p) on int residues in [0, p): +, *, negation
+    and the zero test commute with it, and a denominator divisible by p is refused."""
     rng = random.Random(61)
     values = [Q(rng.randint(-10**20, 10**20), rng.randint(1, 10**20)) for _ in range(200)] + [Q(0), Q(_PRIME, 7)]
     for a, b in zip(values, reversed(values)):
-        assert GFp.lift(a) + GFp.lift(b) == GFp.lift(a + b)
-        assert GFp.lift(a) * GFp.lift(b) == GFp.lift(a * b)
-        assert -GFp.lift(a) == GFp.lift(-a)
-        assert bool(GFp.lift(a)) == bool(a.numerator % _PRIME)
-    assert GFp.lift(-1) == GFp(_PRIME - 1) and GFp.lift(Q(1, 2)) * GFp.lift(2) == GFp.lift(1)
+        ra, rb = residue(a), residue(b)
+        assert type(ra) is int and 0 <= ra < _PRIME
+        assert (ra + rb) % _PRIME == residue(a + b)
+        assert ra * rb % _PRIME == residue(a * b)
+        assert -ra % _PRIME == residue(-a)
+        assert bool(ra) == bool(a.numerator % _PRIME)
+    assert residue(-1) == _PRIME - 1 and residue(_PRIME) == 0
+    assert residue(Q(1, 2)) * residue(2) % _PRIME == residue(1) == 1
     for bad in (Q(1, _PRIME), Q(-3, 2 * _PRIME)):
         with pytest.raises(NotInvertibleModP):
-            GFp.lift(bad)
+            residue(bad)
 
 
 def test_kernel_basis_matches_reference_on_random_matrices():
@@ -291,7 +296,7 @@ def test_rank_mod_p_matches_the_exact_rank():
     and an entry that is a multiple of p shows the gap.
     """
     def lifted(rows):
-        return [{c: x.v for c, x in enumerate(map(GFp.lift, row)) if x} for row in rows]
+        return [{c: x for c, x in enumerate(map(residue, row)) if x} for row in rows]
 
     for rows, ncols in _low_rank_cases():
         assert rank_mod_p(lifted(rows), ncols) == ncols - len(kernel_basis(rows, ncols)), (rows, ncols)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from bpalgebra import singular
-from bpalgebra.arith import _PRIME, GFp, NotInvertibleModP, Poly2, kernel_basis
+from bpalgebra.arith import _PRIME, NotInvertibleModP, Poly2, kernel_basis, residue
 from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA, ScalarState, State, VAC
 from bpalgebra.singular import (
     AnnihilatorSet,
@@ -163,8 +163,9 @@ def test_scalar_rows_match_the_poly2_engine(level, grading):
             rows = singular.annihilator_rows(scalar, monomials, ann)
             assert all(type(c) is Q and c for row in rows for c in row.values())
             assert rows == _poly2_rows(poly, monomials, ann), (weight, charge)
-            reduced = [{c: GFp.lift(v) for c, v in row.items()} for row in rows]
-            assert singular.annihilator_rows(modp, monomials, ann) == reduced, (weight, charge)
+            modp_rows = singular.annihilator_rows(modp, monomials, ann)
+            assert all(type(c) is int and 0 < c < _PRIME for row in modp_rows for c in row.values())
+            assert modp_rows == [{c: residue(v) for c, v in row.items()} for row in rows], (weight, charge)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -195,7 +196,7 @@ def test_level_without_an_image_mod_p_falls_back_to_the_exact_kernel(grading, mo
     engine refuses it, and find_singular solves the system over Q."""
     level = Q(_PRIME - 3)
     with pytest.raises(NotInvertibleModP):
-        GFp.lift(BPAlgebra(level, grading).central_charge)
+        residue(BPAlgebra(level, grading).central_charge)
     calls = _count_kernel_calls(monkeypatch)
     scalar, ann = singular._ScalarAlgebra(level, grading), AnnihilatorSet.default(grading)
     for weight in (2, 3, 4):
@@ -225,6 +226,70 @@ def test_scalar_engine_keeps_its_ring():
         assert type(s) is singular.ScalarState and not s.is_zero()
         assert all(type(c) is Q for c in s.terms.values())
 
+
+def test_modp_state_never_stores_a_zero_residue():
+    """The GF(p) state reduces every sum and product mod p and drops zeros."""
+    a, b = ((J, -1),), ((L, -2),)
+    s = singular._ModPState()
+    s.add_term(a, _PRIME)
+    s.add_term(b, Q(_PRIME, 2))
+    assert s.terms == {}
+    s.add_term(a, 5)
+    s.add_term(b, -1)
+    assert s.terms == {a: 5, b: _PRIME - 1}
+    s.add_term(a, _PRIME - 5)
+    assert s.terms == {b: _PRIME - 1}
+    s.add_scaled(((b, _PRIME - 1),), _PRIME - 1)  # (p - 1) + (p - 1)^2 = p(p - 1)
+    assert s.terms == {}
+    s.add_scaled(((a, 3), (b, 2)), _PRIME)
+    s.add_scaled(((a, 2), (b, 3)), Q(1, 2))
+    assert s.terms == {a: 1, b: residue(Q(3, 2))}
+    t = s.scaled(-1)
+    assert all(type(c) is int and 0 < c < _PRIME for c in t.terms.values())
+    assert (s + t).terms == {} and (s - s).terms == {}
+
+
+def _random_coefficient(ring, rng):
+    value = Q(rng.choice([-1, 1]) * rng.randint(2, 40), rng.randint(1, 9))
+    if ring is Poly2:
+        return Poly2({(0, 0): value, (rng.randint(1, 2), rng.randint(0, 1)): rng.randint(-3, 3)})
+    return residue(value) if ring is int else value
+
+
+def _bracket_by_definition(algebra, br, s):
+    """[a, b] s term by term: scalar, each linear mode through apply_mode, the (J^2)_p terms."""
+    out = s.scaled(br.scalar)
+    for md, coeff in br.linear:
+        out = out + algebra.apply_mode(md, s).scaled(coeff)
+    for p, coeff in br.j2:
+        out = out + algebra.apply_j2(p, s).scaled(coeff)
+    return out
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+@pytest.mark.parametrize("level", [Q(-5, 3)] + _random_levels(2, 20))
+def test_apply_bracket_matches_its_definition(level, grading):
+    """apply_bracket adds the insertion pairs of each linear term scaled once;
+    it must equal the bracket applied term by term, on all three rings, for
+    every annihilator against every creation mode of weight <= 5."""
+    rng = random.Random(f"{level}-{grading}")
+    engines = [BPAlgebra(level, grading), singular._ScalarAlgebra(level, grading), singular._ModPAlgebra(level, grading)]
+    creation = [(gen, n) for gen in (J, L, GP, GM) for n in range(-6, 0)
+                if engines[0].is_creation((gen, n), VAC) and engines[0].weight((gen, n)) <= 5]
+    seen_j2 = False
+    for algebra in engines:
+        unit = algebra.state_type
+        monomials = [m for w in range(4) for c in (-1, 0, 1) for m in enumerate_basis(algebra, VAC, w, c).monomials]
+        for a in AnnihilatorSet.default(grading, include_gm0=True).modes:
+            for b in creation:
+                br = algebra.bracket(a, b)
+                seen_j2 = seen_j2 or bool(br.j2)
+                for _ in range(2):
+                    s = unit(terms={m: _random_coefficient(unit.ring, rng) for m in rng.sample(monomials, 4)})
+                    got = algebra.apply_bracket(br, s)
+                    assert got == _bracket_by_definition(algebra, br, s), (algebra, a, b, s)
+                    assert type(got) is unit and all(type(c) is unit.ring for c in got.terms.values())
+    assert seen_j2 and len(creation) >= 17
 
 # find_singular reuses one engine pair per (level, grading) across calls
 # (singular._engines).  The cold side clears that cache before every call,
