@@ -19,7 +19,10 @@ fraction-free elimination, whose divisions are exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 Q = Fraction
@@ -491,8 +494,10 @@ def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly1:
     return matrix[-1][-1] * sign
 
 
-# A 61-bit Mersenne prime: the modulus of the rank certificate.
-_PRIME = 2**61 - 1
+# The modulus of the rank certificate: 1,073,741,789, the largest prime below
+# 2^30.  Every residue is then a one-digit CPython int (30 bits), and every
+# product of two residues is at most two digits.
+_PRIME = 2**30 - 35
 
 
 class NotInvertibleModP(ArithmeticError):
@@ -515,42 +520,76 @@ def residue(value) -> int:
     return value.numerator * pow(den, -1, _PRIME) % _PRIME
 
 
-def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None) -> dict[int, dict]:
+def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None, leftmost: bool = True) -> dict[int, dict]:
     """Row echelon form of sparse {column: value} rows, which it consumes.
 
     Over Q, or mod ``p`` when it is given.  Returns {leading column: row}
     with every row scaled to a leading 1.  The rows are eliminated sparsest
     first, which keeps the fill-in down, and the scan stops once every
     column has a pivot.
+
+    Each row clears the pivot columns it holds in the order the pivots were
+    made, through a heap: a pivot row holds no lead of an earlier pivot, so
+    clearing one brings in only later ones.  What is left leads with its
+    leftmost column, or, with ``leftmost`` false, with its column that has
+    the fewest nonzeros in the matrix.  The rank does not depend on that
+    choice; the leftmost leads are those of the reduced row echelon form.
     """
+    vectors = sorted(vectors, key=len)
+    if leftmost:
+        choose = min
+    else:
+        nonzeros = Counter(c for vec in vectors for c in vec)
+        choose = partial(min, key=nonzeros.__getitem__)
     echelon: dict[int, dict] = {}
-    for vec in sorted(vectors, key=len):
-        while vec:
-            lead = min(vec)
-            pivot = echelon.get(lead)
-            if pivot is None:
-                inv = pow(vec[lead], -1, p)
-                row = {c: v * inv for c, v in vec.items()}
-                echelon[lead] = {c: v % p for c, v in row.items()} if p else row
+    made: dict[int, int] = {}  # pivot column -> its place in the order of making
+    pivots: list[tuple] = []  # (column, row) in that order
+    for vec in vectors:
+        heap = [made[c] for c in vec if c in made]
+        heapify(heap)
+        while heap:
+            lead, row = pivots[heappop(heap)]
+            factor = vec.get(lead)
+            if factor is None:  # cancelled, or pushed twice
+                continue
+            for c, v in row.items():
+                old = vec.get(c)
+                if old is None:  # -factor * v, never 0 in a field
+                    vec[c] = (-factor * v) % p if p else -factor * v
+                    if c in made:
+                        heappush(heap, made[c])
+                    continue
+                value = (old - factor * v) % p if p else old - factor * v
+                if value:
+                    vec[c] = value
+                else:
+                    del vec[c]
+        if vec:
+            lead = choose(vec)
+            inv = pow(vec[lead], -1, p)
+            row = {c: v * inv % p for c, v in vec.items()} if p else {c: v * inv for c, v in vec.items()}
+            echelon[lead] = row
+            made[lead] = len(pivots)
+            pivots.append((lead, row))
+            if len(echelon) == ncols:
                 break
-            _subtract(vec, vec[lead], pivot, p)
-        if len(echelon) == ncols:
-            break
     return echelon
 
 
 def rank_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> int:
-    """Rank mod ``_PRIME`` of sparse {column: residue} rows, which it consumes."""
-    return len(_echelon(vectors, ncols, _PRIME))
+    """Rank mod ``_PRIME`` of sparse {column: residue} rows, which it consumes.
+
+    The leads are the sparsest columns (``_echelon`` with ``leftmost``
+    false), which keeps the fill-in of the large certificate systems down.
+    """
+    return len(_echelon(vectors, ncols, _PRIME, leftmost=False))
 
 
-def _subtract(vec: dict, factor, row: dict, p: int | None = None) -> None:
-    """``vec -= factor * row`` in place, on sparse rows over Q or mod ``p``."""
+def _subtract(vec: dict, factor, row: dict) -> None:
+    """``vec -= factor * row`` in place, on sparse rows over Q."""
     for c, v in row.items():
         # A column missing from vec gets -factor * v, never 0 in a field.
         value = vec.get(c, 0) - factor * v
-        if p:
-            value %= p
         if value:
             vec[c] = value
         else:

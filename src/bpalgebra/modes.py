@@ -53,6 +53,14 @@ _RANK = {L: 0, J: 1, GP: 2, GM: 3}
 
 Mode = tuple  # (generator, index)
 
+# The largest creation index of each generator: on the vacuum in either
+# grading, and on the highest-weight vector in the bar grading.
+_VACUUM_CREATION_BOUND = {
+    BAR: {J: -1, L: -2, GP: -1, GM: -2},
+    OMEGA: {J: -1, L: -2, GP: -1, GM: -1},
+}
+_HW_CREATION_BOUND = {J: -1, L: -1, GP: 0, GM: -1}
+
 _MODE_RE = re.compile(r"^(J|L|G\+|G-)\((-?\d+)\)$")
 
 
@@ -99,6 +107,16 @@ def expand_word(word, source: str, target: str, coeff) -> list:
     for m in word:
         words = [(w + (md,), c * c2) for w, c in words for md, c2 in substitute(m, source, target)]
     return words
+
+
+def _times(a: Fraction, b: Fraction) -> Fraction:
+    """a * b, without the multiplication when a factor is 1."""
+    return b if a == 1 else a if b == 1 else a * b
+
+
+def _accumulate(acc: dict, key, value: Fraction) -> None:
+    prev = acc.get(key)
+    acc[key] = value if prev is None else prev + value
 
 
 @dataclass(frozen=True)
@@ -249,7 +267,8 @@ class ModeAlgebra:
     * ``base_action(mode, base)`` -- the scalar by which a non-creation mode
       acts on the bare base vector;
     * ``commutator(mode, head, rest_state)`` -- the (super)commutator
-      [mode, head] applied to ``rest_state``;
+      [mode, head] applied to ``rest_state``, as a new state that the caller
+      may mutate;
     * ``parity(gen)`` -- the Koszul sign of a swap; odd modes square to zero;
     * ``weight(mode)``, ``product_mode(gen, j)`` (the mode acting as the j-th
       product of the generator state) and its inverse ``product_index(mode)``
@@ -309,11 +328,9 @@ class ModeAlgebra:
             # m head rest = +-head (m rest) + [m, head] rest, from the memo.
             head, rest = mono[0], mono[1:]
             odd = self.parity(m[0]) and self.parity(head[0])
-            total = self.state_type(base=base)
+            total = self.commutator(m, head, self.state_type(base=base, terms={rest: lift(1)}))
             for mono2, c2 in self._insert(m, rest, base):
                 total.add_scaled(self._insert(head, mono2, base), -c2 if odd else c2)
-            rest_state = self.state_type(base=base, terms={rest: lift(1)})
-            total.add_scaled(self.commutator(m, head, rest_state).terms.items())
             result = tuple(total.terms.items())
         memo[key] = result
         return result
@@ -423,13 +440,11 @@ class BPAlgebra(ModeAlgebra):
     # ------------------------------------------------------------------
     def creation_bound(self, gen: str, base: str) -> int:
         """Largest index n such that gen(n) is a creation mode on the base."""
-        if self.convention == BAR:
-            if base == VAC:
-                return {J: -1, L: -2, GP: -1, GM: -2}[gen]
-            return {J: -1, L: -1, GP: 0, GM: -1}[gen]
-        if base != VAC:
+        if base == VAC:
+            return _VACUUM_CREATION_BOUND[self.convention][gen]
+        if self.convention != BAR:
             raise ValueError("omega-convention engine only supports the vacuum base")
-        return {J: -1, L: -2, GP: -1, GM: -1}[gen]
+        return _HW_CREATION_BOUND[gen]
 
     def is_creation(self, m: Mode, base: str) -> bool:
         return m[1] <= self.creation_bound(m[0], base)
@@ -502,7 +517,11 @@ class BPAlgebra(ModeAlgebra):
         return out
 
     def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] over Q: the omega table, or its image under the substitution."""
+        """[a, b] over Q: the omega table, or its image under the substitution.
+
+        The image skips zero scalars and multiplies by no unit factor of the
+        substitution: each product is a ``Fraction`` operation.
+        """
         if self.convention == OMEGA:
             return self._bracket_omega(a, b)
         linear_acc: dict[Mode, Fraction] = {}
@@ -511,13 +530,15 @@ class BPAlgebra(ModeAlgebra):
         for ma, ca in substitute(a, BAR, OMEGA):
             for mb, cb in substitute(b, BAR, OMEGA):
                 piece = self._bracket_omega(ma, mb)
-                cc = ca * cb
-                scalar += cc * piece.scalar
+                cc = _times(ca, cb)
+                if piece.scalar:
+                    scalar += _times(cc, piece.scalar)
                 for p, coeff in piece.j2:
-                    j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
+                    _accumulate(j2_acc, p, _times(cc, coeff))
                 for md, coeff in piece.linear:
+                    coeff = _times(cc, coeff)
                     for md2, c2 in substitute(md, OMEGA, BAR):
-                        linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
+                        _accumulate(linear_acc, md2, _times(coeff, c2))
         return Bracket(
             j2=tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
             linear=tuple(sorted(

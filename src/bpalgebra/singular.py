@@ -8,9 +8,11 @@ weight-zero mode G-(0) is *not* imposed by default (the stricter
 highest-weight check is available via a flag); for the half-integer grading
 the corresponding mode is genuinely positive and belongs to the default set.
 
-An empty kernel is certified from the rows built mod p = 2^61 - 1: full
-column rank mod p proves full column rank over Q, and the exact path over Q
-runs only when that certificate fails.  Both engines and their memos are
+An empty kernel is certified from the rows built mod p = 1,073,741,789
+(2^30 - 35), the largest prime below 2^30, so that every residue is a
+one-digit CPython int.  Full column rank mod p proves full column rank over
+Q, and the exact path over Q runs only when that certificate fails, or when
+a structure constant has no image mod p.  Both engines and their memos are
 reused by every call at one (level, grading); only the latest pair is kept.
 """
 
@@ -81,7 +83,10 @@ class _ModPState(State):
 
 
 class _ModPAlgebra(BPAlgebra):
-    """The vacuum engine over GF(p), p = 2^61 - 1, on int residues.
+    """The vacuum engine over GF(p), p = 1,073,741,789, on int residues.
+
+    The prime is 2^30 - 35, the largest below 2^30, so a residue is a
+    one-digit CPython int and a product of two is at most two digits.
 
     ``bracket`` lifts each constant once, into this algebra's memo; one that
     is not p-integral raises :class:`NotInvertibleModP`.  Every other step is
@@ -103,14 +108,14 @@ def annihilator_rows(algebra: BPAlgebra, monomials, ann: AnnihilatorSet) -> list
     sparse {column: coefficient} rows.
 
     Coefficients lie in the ring of ``algebra.state_type``: GF(p) or Q on
-    the engines :func:`find_singular` uses.
+    the engines :func:`find_singular` uses.  Each column's entries are the
+    (monomial, coefficient) pairs of the insertion memo, read as they are.
     """
-    unit = algebra.state_type
     rows = []
     for mode in ann.modes:
         by_mono = {}
         for col, mono in enumerate(monomials):
-            for mono2, coeff in algebra.apply_mode(mode, unit(terms={mono: unit.lift(1)})).terms.items():
+            for mono2, coeff in algebra._insert(mode, mono, VAC):
                 by_mono.setdefault(mono2, {})[col] = coeff
         rows.extend(row for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
     return rows

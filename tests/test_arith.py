@@ -6,6 +6,7 @@ import pytest
 from bpalgebra import singular
 from bpalgebra.arith import (
     _PRIME,
+    _echelon,
     NotInvertibleModP,
     POLY_X,
     POLY_Y,
@@ -303,6 +304,63 @@ def test_rank_mod_p_matches_the_exact_rank():
     rows = [[Q(_PRIME)]]
     assert rank_mod_p(lifted(rows), 1) == 0
     assert 1 - len(kernel_basis(rows, 1)) == 1
+
+
+def _sparse_rank_case(rng):
+    """A sparse integer matrix of chosen rank: independent sparse rows, their
+    small combinations, duplicates, empty rows and an all-zero column."""
+    ncols = rng.randint(1, 14)
+    zero_col = rng.randrange(ncols)
+    cols = [c for c in range(ncols) if c != zero_col]
+    base = [{c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in rng.sample(cols, min(len(cols), rng.randint(1, 4)))}
+            for _ in range(rng.randint(0, ncols))]
+    rows = [dict(row) for row in base]
+    for _ in range(rng.randint(0, 2 * ncols)):
+        kind = rng.random()
+        if kind < 0.15 or not base:
+            rows.append({})
+        elif kind < 0.35:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            combo = {}
+            for row in rng.sample(base, min(len(base), 2)):
+                factor = rng.randint(-2, 2)
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + factor * v
+            rows.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(rows)
+    return [[Q(row.get(c, 0)) for c in range(ncols)] for row in rows], ncols
+
+
+def test_sparsest_lead_rank_matches_the_exact_rank_on_sparse_matrices():
+    """rank_mod_p leads with the sparsest column; its rank equals the rank
+    over Q of the dense reference elimination."""
+    rng = random.Random(2030)
+    seen = {"deficient": 0, "tall": 0, "duplicate": 0, "empty": 0}
+    for _ in range(300):
+        rows, ncols = _sparse_rank_case(rng)
+        rank = ncols - len(_reference_kernel(rows, ncols))
+        lifted = [{c: residue(v) for c, v in enumerate(row) if v} for row in rows]
+        assert rank_mod_p(lifted, ncols) == rank, (rows, ncols)
+        seen["deficient"] += rank < min(len(rows), ncols)
+        seen["tall"] += len(rows) > ncols
+        seen["duplicate"] += any(row and rows.count(row) > 1 for row in rows)
+        seen["empty"] += any(not any(row) for row in rows)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+def test_sparsest_lead_rank_matches_leftmost_leads_on_ladder_systems(grading):
+    """On the ladder's mod-p systems, w = 4..8, the sparsest-lead rank equals
+    the leftmost-lead rank of the same echelon."""
+    algebra = singular._ModPAlgebra(Q(-5, 3), grading)
+    ann = singular.AnnihilatorSet.default(grading)
+    for weight in range(4, 9):
+        monomials = enumerate_basis(algebra, VAC, weight, 0).monomials
+        rows = singular.annihilator_rows(algebra, monomials, ann)
+        leftmost = len(_echelon([dict(row) for row in rows], len(monomials), _PRIME))
+        assert rank_mod_p([dict(row) for row in rows], len(monomials)) == leftmost, weight
+        assert leftmost == len(monomials) - (weight == 4)
 
 
 def _sympy_linear_roots(sympy, expr, var) -> dict:

@@ -16,8 +16,10 @@ from bpalgebra.modes import (
     OMEGA,
     State,
     VAC,
+    _mode_key,
     mode_str,
     parse_mode,
+    substitute,
 )
 from bpalgebra.tables import omega3, omega3_bar, omega4, omega4_bar
 
@@ -245,6 +247,17 @@ def test_returned_states_do_not_alias_memo_tables(name):
             first.add_term(mono, 1)
         first.add_term(((word[0][0], -9),), 1)
         assert call() == expected
+    # _insert adds into the state commutator returns: it must be a new one.
+    unit, nonzero = alg.state_type, 0
+    for m in [(gen, -n - 1) for gen, n in word + u_word]:
+        for head in word:
+            rest = unit(base=base, terms={(): unit.lift(1)})
+            out = alg.commutator(m, head, rest)
+            assert out is not rest and out.terms is not rest.terms
+            nonzero += not out.is_zero()
+            out.add_term(((word[0][0], -9),), 1)
+            assert rest.terms == {(): unit.lift(1)}
+    assert nonzero
     if isinstance(alg, BPAlgebra):
         # Memoized brackets are frozen and hold tuples.
         pair = ((GP, 1), (GM, -1))
@@ -271,3 +284,42 @@ def test_memoized_brackets_match_a_fresh_algebra(grading):
         assert all(x is y for x, y in zip(first, again))
         for (a, b), br in zip(pairs, again):
             assert br == BPAlgebra(level, grading).bracket(a, b), (level, a, b)
+
+
+def _reference_bar_bracket(algebra, a, b):
+    """The bar bracket derived term by term: every product and every zero sum
+    of the substitution taken, as the derivation stood before it skipped them."""
+    linear_acc, j2_acc, scalar = {}, {}, Q(0)
+    for ma, ca in substitute(a, BAR, OMEGA):
+        for mb, cb in substitute(b, BAR, OMEGA):
+            piece = algebra._bracket_omega(ma, mb)
+            cc = ca * cb
+            scalar += cc * piece.scalar
+            for p, coeff in piece.j2:
+                j2_acc[p] = j2_acc.get(p, Q(0)) + cc * coeff
+            for md, coeff in piece.linear:
+                for md2, c2 in substitute(md, OMEGA, BAR):
+                    linear_acc[md2] = linear_acc.get(md2, Q(0)) + cc * coeff * c2
+    return (
+        tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
+        tuple(sorted(((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0]))),
+        scalar,
+    )
+
+
+@pytest.mark.parametrize("level", [KTEST, Q(-9, 4), Q(0), Q(random.Random(21).randint(-40, 40), 7)])
+def test_bar_brackets_match_the_term_by_term_derivation(level):
+    """Every bar bracket of two generator modes, indices -6..6, equals the
+    term-by-term derivation: the same (J^2)_p markers, linear terms in the
+    same order and the same central term."""
+    alg = BPAlgebra(level, BAR)
+    modes = [(gen, n) for gen in (J, L, GP, GM) for n in range(-6, 7)]
+    seen = {"j2": 0, "scalar": 0}
+    for a in modes:
+        for b in modes:
+            br = alg._compute_bracket(a, b)
+            assert (br.j2, br.linear, br.scalar) == _reference_bar_bracket(alg, a, b), (a, b)
+            assert type(br.scalar) is Q and all(type(c) is Q for _, c in br.j2 + br.linear)
+            seen["j2"] += bool(br.j2)
+            seen["scalar"] += bool(br.scalar)
+    assert min(seen.values()) >= 20, seen

@@ -168,6 +168,41 @@ def test_scalar_rows_match_the_poly2_engine(level, grading):
             assert modp_rows == [{c: residue(v) for c, v in row.items()} for row in rows], (weight, charge)
 
 
+def _rows_through_apply_mode(algebra, monomials, ann):
+    """The annihilator rows built column by column through apply_mode on a
+    one-monomial state, in the engine's own ring."""
+    unit = algebra.state_type
+    rows = []
+    for mode in ann.modes:
+        by_mono = {}
+        for col, mono in enumerate(monomials):
+            for mono2, coeff in algebra.apply_mode(mode, unit(terms={mono: unit.lift(1)})).terms.items():
+                by_mono.setdefault(mono2, {})[col] = coeff
+        rows.extend(row for _, row in sorted(by_mono.items(), key=lambda t: str(t[0])))
+    return rows
+
+
+# Charge +-1 sits at half-integer omega weights.
+_ROW_CASES = [(Q(-5, 3), g, Q(w, 2 if g == OMEGA else 1), c)
+              for g in (BAR, OMEGA) for w in range(13 if g == OMEGA else 7) for c in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("engine", [singular._ScalarAlgebra, singular._ModPAlgebra])
+def test_rows_from_the_insertion_memo_match_rows_through_apply_mode(engine):
+    """annihilator_rows reads the insertion memo directly; its rows equal
+    those built through apply_mode on a fresh engine of the same ring."""
+    nonempty = 0
+    for level, grading, weight, charge in _ROW_CASES + [(Q(-9, 4), BAR, 3, 0)]:
+        ann = AnnihilatorSet.default(grading)
+        direct, fresh = engine(level, grading), engine(level, grading)
+        monomials = enumerate_basis(direct, VAC, weight, charge).monomials
+        want = _rows_through_apply_mode(fresh, monomials, ann)
+        assert singular.annihilator_rows(direct, monomials, ann) == want, (level, grading, weight, charge)
+        assert all(type(c) is engine.state_type.ring for row in want for c in row.values())
+        nonempty += bool(want)
+    assert nonempty >= 30
+
+
 def _count_kernel_calls(monkeypatch):
     calls = []
 
