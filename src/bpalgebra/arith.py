@@ -44,19 +44,17 @@ def binomial(n, j: int):
 
     The upper argument may be an int, a Fraction, or a polynomial (anything
     supporting ring arithmetic with ints); the lower argument must be a
-    nonnegative integer.
+    nonnegative integer.  An int upper argument gives an int, with
+    C(n, j) = (-1)^j C(j - n - 1, j) for n < 0; a Fraction gives a Fraction.
     """
     if j < 0:
         raise ValueError("lower binomial argument must be nonnegative")
+    if isinstance(n, int):
+        return math.comb(n, j) if n >= 0 else (-1) ** j * math.comb(j - n - 1, j)
     num = 1
     for t in range(j):
         num = (n - t) * num
-    den = 1
-    for t in range(1, j + 1):
-        den *= t
-    if isinstance(num, int):
-        return Fraction(num, den)
-    return num * Fraction(1, den)
+    return num * Fraction(1, math.factorial(j))
 
 
 def join_signed(parts: list) -> str:
@@ -77,7 +75,11 @@ class Poly2:
     """Sparse exact polynomial in Q[x, y].
 
     Stored as {(i, j): coefficient} with no zero coefficients.  Instances are
-    treated as immutable values; all operations return new objects.
+    treated as immutable values; all operations return new objects, and no
+    result shares an operand's dict, so a memo table holding a Poly2 cannot
+    be changed through a result.  A product of nonzero rationals is nonzero,
+    so the ring operations store a new key's value as it is, add only on a
+    collision and drop a sum that cancels.
     """
 
     __slots__ = ("c",)
@@ -95,7 +97,7 @@ class Poly2:
     @staticmethod
     def const(value) -> "Poly2":
         value = frac(value)
-        return Poly2({(0, 0): value}) if value else Poly2()
+        return _poly2({(0, 0): value} if value else {})
 
     @staticmethod
     def x() -> "Poly2":
@@ -110,21 +112,21 @@ class Poly2:
         other = _as_poly2(other)
         c = dict(self.c)
         for key, val in other.c.items():
-            s = c.get(key, Fraction(0)) + val
-            if s:
-                c[key] = s
+            prev = c.get(key)
+            if prev is None:
+                c[key] = val
             else:
-                c.pop(key, None)
-        out = Poly2()
-        out.c = c
-        return out
+                val = prev + val
+                if val:
+                    c[key] = val
+                else:
+                    del c[key]
+        return _poly2(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly2()
-        out.c = {key: -val for key, val in self.c.items()}
-        return out
+        return _poly2({key: -val for key, val in self.c.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly2(other))
@@ -138,14 +140,16 @@ class Poly2:
         for (i1, j1), v1 in self.c.items():
             for (i2, j2), v2 in other.c.items():
                 key = (i1 + i2, j1 + j2)
-                s = c.get(key, Fraction(0)) + v1 * v2
-                if s:
-                    c[key] = s
+                prev = c.get(key)
+                if prev is None:
+                    c[key] = v1 * v2
                 else:
-                    c.pop(key, None)
-        out = Poly2()
-        out.c = c
-        return out
+                    val = prev + v1 * v2
+                    if val:
+                        c[key] = val
+                    else:
+                        del c[key]
+        return _poly2(c)
 
     __rmul__ = __mul__
 
@@ -267,6 +271,13 @@ class Poly2:
     @staticmethod
     def from_json(data) -> "Poly2":
         return Poly2({(int(i), int(j)): frac(val) for i, j, val in data})
+
+
+def _poly2(c: dict) -> Poly2:
+    """A Poly2 on ``c``, which must hold no zero coefficient; ``c`` is not copied."""
+    out = Poly2.__new__(Poly2)
+    out.c = c
+    return out
 
 
 def _as_poly2(value) -> Poly2:

@@ -176,9 +176,10 @@ def cmd_zhu(args) -> tuple[dict, bool]:
 
     h_rows = []
     for i in range(1, 7):
-        match = h_poly(i, level) == h_closed_form(i, level)
+        h_i = h_poly(i, level)
+        match = h_i == h_closed_form(i, level)
         ok = ok and match
-        h_rows.append({"i": i, "h_i": str(h_poly(i, level)), "closed_form_ok": match})
+        h_rows.append({"i": i, "h_i": str(h_i), "closed_form_ok": match})
 
     report = {
         "suite": "zhu",

@@ -367,7 +367,7 @@ class ModeAlgebra:
         # Head sum: a_(m-j) (rest_(p+j) w).  x_(n) w has weight
         # wt(x) + wt(w) - n - 1 and vanishes when that is negative.
         for j in range(math.floor(self.monomial_weight(rest) + w_weight - p)):
-            coeff = Q(-1) ** j * binomial(m, j)
+            coeff = (-1) ** j * binomial(m, j)
             if coeff:
                 inner = self._mono_product(rest, p + j, wmono, base)
                 if inner:
@@ -379,7 +379,7 @@ class ModeAlgebra:
         tail_sign = koszul * (1 if m % 2 else -1)
         wstate = self.state_type(base=base, terms={wmono: lift(1)})
         for j in range(math.floor(self.weight(self.product_mode(gen, 0)) + w_weight) + 1):
-            coeff = Q(-1) ** j * binomial(m, j) * tail_sign
+            coeff = (-1) ** j * binomial(m, j) * tail_sign
             if coeff:
                 for mono2, c2 in self.apply_mode(self.product_mode(gen, j), wstate).terms.items():
                     total.add_scaled(self._mono_product(rest, m + p - j, mono2, base), coeff * c2)

@@ -8,6 +8,7 @@ with a reproduction hint on failure.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from bpalgebra import BPAlgebra, State
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, VAC
@@ -15,6 +16,16 @@ from bpalgebra.weightspace import enumerate_basis
 from bpalgebra.zhu import ZhuReducer, zhu_circle, zhu_star
 
 GENS = (J, L, GP, GM)
+
+
+def falling_binomial(n, j: int) -> Fraction:
+    """n(n-1)...(n-j+1)/j!, straight from the definition."""
+    num = Fraction(1)
+    for t in range(j):
+        num *= n - t
+    for t in range(1, j + 1):
+        num /= t
+    return num
 
 
 def random_mode(rng: random.Random, lo=-3, hi=3):

@@ -23,6 +23,8 @@ from bpalgebra.arith import (
 from bpalgebra.modes import BAR, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
 
+from helpers import falling_binomial
+
 
 def test_frac_parsing():
     assert frac("-5/3") == Q(-5, 3)
@@ -43,6 +45,117 @@ def test_binomial_values():
     assert binomial(n, 3) == (n * (n - 1) * (n - 2)) * Q(1, 6)
     with pytest.raises(ValueError):
         binomial(3, -1)
+
+
+def test_binomial_int_upper_argument_matches_the_definition():
+    for n in range(-15, 16):
+        for j in range(13):
+            got = binomial(n, j)
+            assert type(got) is int, (n, j)
+            assert got == falling_binomial(n, j), (n, j)
+            # A Fraction upper argument keeps the loop, and gives a Fraction.
+            assert binomial(Q(n), j) == got and isinstance(binomial(Q(n), j), Q)
+
+
+def _model(p):
+    """A Poly2 or scalar as an independent {(i, j): Fraction} model."""
+    if isinstance(p, Poly2):
+        return dict(p.c)
+    return {(0, 0): Q(p)} if p else {}
+
+
+def _model_add(a, b, sign=1):
+    out = dict(a)
+    for key, val in b.items():
+        out[key] = out.get(key, Q(0)) + sign * val
+    return {key: val for key, val in out.items() if val}
+
+
+def _model_mul(a, b):
+    out = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, Q(0)) + v1 * v2
+    return {key: val for key, val in out.items() if val}
+
+
+def _model_pow(a, exp):
+    out = {(0, 0): Q(1)}
+    for _ in range(exp):
+        out = _model_mul(out, a)
+    return out
+
+
+def _poly2_operands(rng):
+    """Random polynomials, with the zero and constant cases and cancelling pairs."""
+    def rand_poly():
+        return Poly2({(rng.randint(0, 3), rng.randint(0, 2)): Q(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rng.randint(0, 5))})
+
+    polys = [Poly2(), Poly2.const(1), Poly2.const(Q(-2, 3)), POLY_X, POLY_X - POLY_Y]
+    for _ in range(30):
+        p = rand_poly()
+        polys += [p, -p, p + rand_poly()]
+    scalars = [0, 1, -3, Q(0), Q(5, 2), Q(-1, 7)]
+    return polys, scalars
+
+
+def _check_poly2_result(result, want, *operands):
+    assert isinstance(result, Poly2)
+    assert result.c == want
+    assert all(isinstance(v, Q) and v for v in result.c.values()), result.c
+    for op in operands:
+        if isinstance(op, Poly2):
+            assert result is not op and result.c is not op.c
+
+
+def test_poly2_ring_ops_match_a_dict_model():
+    """+, -, *, ** and const against a dict-of-Fraction model written here."""
+    rng = random.Random(22)
+    polys, scalars = _poly2_operands(rng)
+    for v in scalars + ["-5/3"]:
+        _check_poly2_result(Poly2.const(v), _model(frac(v)))
+    pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(300)]
+    pairs += [(p, p) for p in polys] + [(p, -p) for p in polys]
+    pairs += [(p, s) for p in polys[:20] for s in scalars] + [(s, p) for p in polys[:20] for s in scalars]
+    for a, b in pairs:
+        snapshot = (_model(a), _model(b))
+        ma, mb = snapshot
+        _check_poly2_result(a + b, _model_add(ma, mb), a, b)
+        _check_poly2_result(a - b, _model_add(ma, mb, -1), a, b)
+        _check_poly2_result(a * b, _model_mul(ma, mb), a, b)
+        assert (_model(a), _model(b)) == snapshot  # the operands are unchanged
+    for p in polys:
+        _check_poly2_result(-p, {key: -val for key, val in p.c.items()}, p)
+        _check_poly2_result(p - p, {}, p)
+        for exp in range(4):
+            _check_poly2_result(p**exp, _model_pow(p.c, exp), p)
+
+
+def test_poly2_ring_ops_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):
+        if not isinstance(p, Poly2):
+            p = Poly2.const(p)
+        return sum((sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.c.items()),
+                   sympy.Integer(0))
+
+    rng = random.Random(5)
+    polys, scalars = _poly2_operands(rng)
+    operands = polys + scalars
+    for _ in range(120):
+        a, b = rng.choice(operands), rng.choice(polys)
+        if rng.random() < 0.5:
+            a, b = b, a
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert sympy.expand(to_sympy(a + b) - (sa + sb)) == 0
+        assert sympy.expand(to_sympy(a - b) - (sa - sb)) == 0
+        assert sympy.expand(to_sympy(a * b) - sa * sb) == 0
+    for p in polys[:20]:
+        assert sympy.expand(to_sympy(p**3) - to_sympy(p) ** 3) == 0
 
 
 def test_poly2_ring_axioms_randomized():

@@ -23,7 +23,13 @@ from bpalgebra.modes import (
 )
 from bpalgebra.tables import omega3, omega3_bar, omega4, omega4_bar
 
-from helpers import check_bracket_consistency, check_confluence, check_grading, check_spectral_flow_brackets
+from helpers import (
+    check_bracket_consistency,
+    check_confluence,
+    check_grading,
+    check_spectral_flow_brackets,
+    falling_binomial,
+)
 
 KTEST = Q(-5, 3)
 
@@ -323,3 +329,55 @@ def test_bar_brackets_match_the_term_by_term_derivation(level):
             seen["j2"] += bool(br.j2)
             seen["scalar"] += bool(br.scalar)
     assert min(seen.values()) >= 20, seen
+
+
+def _commutator_formula_case(name):
+    """(algebra, product, generators, composite vacuum words u, (base, word) for w)."""
+    from bpalgebra.freefield import fermionic_algebra
+
+    if name == "bar":
+        alg = BPAlgebra(KTEST, BAR)
+        us = [[(J, -1), (J, -1)], [(L, -2), (J, -1)], [(GP, -1), (GM, -2)], [(J, -2), (GP, -1)]]
+        ws = [(VAC, []), (VAC, [(GM, -2)]), (HW, []), (HW, [(GP, 0)])]
+        return alg, alg.state_product_action, (J, L, GP, GM), us, ws
+    alg = fermionic_algebra()
+    # Odd and even composites, so that both Koszul signs occur.
+    us = [[("P+", -1), ("P-", -1)], [("b", -1), ("c", -2)], [("P+", -2), ("b", -1), ("c", -1)]]
+    ws = [(VAC, []), (VAC, [("P-", -1)]), (VAC, [("c", -1), ("P+", -2)])]
+    return alg, alg.product, ("P+", "P-", "b", "c"), us, ws
+
+
+@pytest.mark.parametrize("name", ["bar", "fermionic"])
+def test_iterate_recursion_obeys_the_borcherds_commutator_formula(name):
+    """[a_(m), u_(n)] w = sum_j C(m, j) (a_(j) u)_(m+n-j) w for a generator a
+    and composite u, the bracket taken with the Koszul sign (-1)^(|a||u|).
+
+    The modes of a are single-mode insertions, so the iterate recursion
+    behind u_(n) is checked against an identity it does not encode; negative
+    m gives negative upper binomial arguments and both signs."""
+    alg, product, gens, us, ws = _commutator_formula_case(name)
+    indices = range(-3, 3)
+    nonzero = signs = 0
+    for gen in gens:
+        for uword in us:
+            u = alg.normal_form(uword)
+            odd = alg.parity(gen) and alg.monomial_parity(tuple(uword))
+            signs += bool(odd)
+            # a_(j) u vanishes once its weight wt(a) + wt(u) - j - 1 is negative.
+            a_u = [alg.apply_mode(alg.product_mode(gen, j), u) for j in range(8)]
+            assert a_u[-1].is_zero()
+            for base, wword in ws:
+                w = alg.normal_form(wword, base=base)
+                for m in indices:
+                    a_m = alg.product_mode(gen, m)
+                    a_w = alg.apply_mode(a_m, w)
+                    for n in indices:
+                        lhs = alg.apply_mode(a_m, product(u, n, w)) - product(u, n, a_w).scaled(-1 if odd else 1)
+                        rhs = alg.state_type(base=base)
+                        for j, state in enumerate(a_u):
+                            if not state.is_zero():
+                                rhs = rhs + product(state, m + n - j, w).scaled(falling_binomial(m, j))
+                        assert lhs == rhs, (gen, uword, wword, m, n)
+                        nonzero += not lhs.is_zero()
+    assert nonzero >= 100, nonzero
+    assert bool(signs) == (name == "fermionic")  # the BP generators are even
