@@ -135,10 +135,17 @@ class Poly2:
         return _as_poly2(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly2(other)
+        a, b = self.c, _as_poly2(other).c
+        if len(a) == 1 and (0, 0) in a:
+            a, b = b, a
+        if len(b) == 1 and (0, 0) in b:
+            # A constant factor, most often 1, needs no key arithmetic: it
+            # scales the other operand's coefficients.
+            v = b[(0, 0)]
+            return _poly2(dict(a) if v == 1 else {key: val * v for key, val in a.items()})
         c = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
+        for (i1, j1), v1 in a.items():
+            for (i2, j2), v2 in b.items():
                 key = (i1 + i2, j1 + j2)
                 prev = c.get(key)
                 if prev is None:

@@ -13,12 +13,13 @@ goes to stderr).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 # Rational option values like -5/3 must not be mistaken for flags.
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
@@ -413,61 +414,177 @@ def _scalar(value):
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bpalg",
-        description="Exact verification suites for the Bershadsky-Polyakov algebra",
-    )
-    parser._negative_number_matcher = _NEGATIVE_RATIONAL
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p._negative_number_matcher = _NEGATIVE_RATIONAL
-        p.add_argument("--format", choices=("md", "json"), default="md")
-        return p
-
-    p_sing = add_parser("singular", help="singular-vector kernels and golden tables")
-    p_sing.add_argument("--level", required=True)
-    p_sing.add_argument("--weight", required=True)
-    p_sing.add_argument("--charge", default=0, type=int)
-    p_sing.add_argument("--grading", choices=(OMEGA, BAR), default=OMEGA)
-    p_sing.add_argument("--check", action="store_true", help="require a golden table")
-
-    p_zhu = add_parser("zhu", help="Zhu projections and Smith-algebra relations")
-    p_zhu.add_argument("--level", required=True)
-
-    p_cls = add_parser("classify", help="highest-weight classification")
-    p_cls.add_argument("--level", required=True)
-
-    p_ff = add_parser("freefield", help="free-field realization checks")
-    p_ff.add_argument("--level", required=True)
-    return parser
-
+# Each command's handler, its help line and its options.  An option maps to
+# _REQUIRED (a string it must be given), to its default (an int default makes
+# it read an int, False makes it a flag that takes no value) or to its choices,
+# the first of which is the default.
+Command = namedtuple("Command", "handler help options")
+_REQUIRED = None
+_FORMATS = ("md", "json")
 
 _COMMANDS = {
-    "singular": cmd_singular,
-    "zhu": cmd_zhu,
-    "classify": cmd_classify,
-    "freefield": cmd_freefield,
+    "singular": Command(cmd_singular, "singular-vector kernels and golden tables", {
+        "--level": _REQUIRED, "--weight": _REQUIRED, "--charge": 0,
+        "--grading": (OMEGA, BAR), "--check": False, "--format": _FORMATS,
+    }),
+    "zhu": Command(cmd_zhu, "Zhu projections and Smith-algebra relations",
+                   {"--level": _REQUIRED, "--format": _FORMATS}),
+    "classify": Command(cmd_classify, "highest-weight classification",
+                        {"--level": _REQUIRED, "--format": _FORMATS}),
+    "freefield": Command(cmd_freefield, "free-field realization checks",
+                         {"--level": _REQUIRED, "--format": _FORMATS}),
 }
+
+_HELP = ("-h", "--help")
+
+
+class HelpRequested(Exception):
+    """-h or --help was given; the exception's text is the usage to print."""
+
+
+def _usage(name: str) -> str:
+    parts = [f"bpalg {name}"]
+    for opt, kind in _COMMANDS[name].options.items():
+        if kind is False:
+            parts.append(f"[{opt}]")
+        elif isinstance(kind, tuple):
+            parts.append(f"[{opt} {{{','.join(kind)}}}]")
+        else:
+            part = f"{opt} {opt[2:].upper()}"
+            parts.append(part if kind is _REQUIRED else f"[{part}]")
+    return " ".join(parts)
+
+
+def _help_text(command=None) -> str:
+    forms = "Options take --opt VALUE, --opt=VALUE or a unique prefix of --opt.\n-h or --help prints this text."
+    if command is not None:
+        return f"usage: {_usage(command)}\n\n{_COMMANDS[command].help}\n\n{forms}"
+    rows = "\n".join(f"  {_usage(name)}\n      {cmd.help}" for name, cmd in _COMMANDS.items())
+    return (
+        "usage: bpalg COMMAND [options]\n\n"
+        "Exact verification suites for the Bershadsky-Polyakov algebra\n\n"
+        f"commands:\n{rows}\n\n{forms}"
+    )
+
+
+def _option(token: str, names):
+    """How argparse reads ``token`` where ``names`` are the options.
+
+    None for a value or a positional; otherwise (option, inline value or
+    None), with option None for an unknown one.  A prefix shared by two
+    options is a usage error.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        return head, value
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {head} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        # -h is the one short option; the rest of the token is its inline value.
+        return "-h", token[2:]
+    if _NEGATIVE_RATIONAL.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_argv(argv):
+    """Read a `bpalg` command line as its argparse parser did.
+
+    Returns a namespace with ``command`` and one attribute per option of the
+    command.  Raises UsageError on a malformed command line and
+    HelpRequested for -h or --help.
+    """
+    argv = list(argv)
+    # Options before the command are unknown to bpalg itself.  argparse
+    # reports them only after the command's own options parse, so a later
+    # -h still prints help.
+    unknown = None
+    for i, token in enumerate(argv):
+        opt = _option(token, _HELP) if token != "--" else None
+        if opt is None:
+            break
+        if opt[0] is None:
+            unknown = unknown or token
+        elif opt[1] is not None:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {opt[1]!r}")
+        else:
+            raise HelpRequested(_help_text())
+    else:
+        raise UsageError(f"a command is required: {', '.join(_COMMANDS)}")
+    command = argv[i]
+    if command not in _COMMANDS:
+        raise UsageError(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    spec = _COMMANDS[command].options
+    names = (*spec, *_HELP)
+    rest = argv[i + 1:]
+    # Every token is read as an option or not before any is consumed, so an
+    # ambiguous prefix is refused wherever it stands.  From "--" on, no token
+    # is an option, and "--" itself is no option's value.
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, names) for token in rest[:cut]] + [None] * (len(rest) - cut)
+    values = {opt: kind[0] if isinstance(kind, tuple) else kind for opt, kind in spec.items()}
+    given = set()
+    stray = []
+    j = 0
+    while j < len(rest):
+        token, kind = rest[j], kinds[j]
+        j += 1
+        if kind is None or kind[0] is None:
+            stray.append(token)
+            continue
+        opt, value = kind
+        if opt in _HELP or spec[opt] is False:
+            if value is not None:
+                raise UsageError(f"argument {opt}: ignored explicit argument {value!r}")
+            if opt in _HELP:
+                raise HelpRequested(_help_text(command))
+            values[opt] = True
+            continue
+        if value is None:
+            if j == cut or kinds[j] is not None:
+                raise UsageError(f"argument {opt}: expected one argument")
+            value = rest[j]
+            j += 1
+        kind = spec[opt]
+        if isinstance(kind, int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {opt}: invalid int value: {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"argument {opt}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+        values[opt] = value
+        given.add(opt)
+    missing = [opt for opt, kind in spec.items() if kind is _REQUIRED and opt not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if stray or unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(([unknown] if unknown else []) + stray)}")
+    return SimpleNamespace(command=command, **{opt[2:]: value for opt, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         _weight_bound()
-        report, ok = _COMMANDS[args.command](args)
+        report, ok = _COMMANDS[args.command].handler(args)
         report["status"] = "pass" if ok else "fail"
         # Rendered before printing, so a failed rendering prints no partial report.
         if args.format == "json":
             text = json.dumps(report, indent=2, sort_keys=True)
         else:
             text = _render_md(report, ok)
+    except HelpRequested as exc:
+        print(exc)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -7,11 +7,13 @@ with a reproduction hint on failure.
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 
 from bpalgebra import BPAlgebra, State
-from bpalgebra.modes import BAR, GM, GP, HW, J, L, VAC
+from bpalgebra.cli import _NEGATIVE_RATIONAL
+from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
 from bpalgebra.zhu import ZhuReducer, zhu_circle, zhu_star
 
@@ -164,3 +166,37 @@ def _homogeneous_state(algebra: BPAlgebra, rng: random.Random, max_weight: int) 
             if not state.is_zero():
                 return state
     return algebra.unit()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that `bpalg` used before its table parser: the
+    reference for `cli.parse_argv`."""
+    parser = argparse.ArgumentParser(
+        prog="bpalg",
+        description="Exact verification suites for the Bershadsky-Polyakov algebra",
+    )
+    parser._negative_number_matcher = _NEGATIVE_RATIONAL
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p._negative_number_matcher = _NEGATIVE_RATIONAL
+        p.add_argument("--format", choices=("md", "json"), default="md")
+        return p
+
+    p_sing = add_parser("singular", help="singular-vector kernels and golden tables")
+    p_sing.add_argument("--level", required=True)
+    p_sing.add_argument("--weight", required=True)
+    p_sing.add_argument("--charge", default=0, type=int)
+    p_sing.add_argument("--grading", choices=(OMEGA, BAR), default=OMEGA)
+    p_sing.add_argument("--check", action="store_true", help="require a golden table")
+
+    p_zhu = add_parser("zhu", help="Zhu projections and Smith-algebra relations")
+    p_zhu.add_argument("--level", required=True)
+
+    p_cls = add_parser("classify", help="highest-weight classification")
+    p_cls.add_argument("--level", required=True)
+
+    p_ff = add_parser("freefield", help="free-field realization checks")
+    p_ff.add_argument("--level", required=True)
+    return parser

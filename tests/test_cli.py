@@ -1,11 +1,18 @@
+import contextlib
 from fractions import Fraction as Q
 import importlib.util
+import io
 import json
+import os
 from pathlib import Path
+import random
+import subprocess
+import sys
 
 import pytest
 
-from bpalgebra.cli import main
+from bpalgebra.cli import HelpRequested, UsageError, main, parse_argv
+from helpers import build_parser
 
 _BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -120,6 +127,118 @@ def test_bad_flags_exit_2(capsys):
     assert run(capsys, "singular", "--level", "nonsense", "--weight", "4")[0] == 2
     assert run(capsys, "singular", "--level", "-5/3", "--weight", "99")[0] == 2
     assert run(capsys, "wrongcommand")[0] == 2
+    for argv in (
+        ["singular", "--c", "1", "--level", "-5/3", "--weight", "4"],  # --charge or --check
+        ["zhu", "--level"],
+        ["zhu", "--level", "-5/3", "--format", "xml"],
+        ["singular", "--level", "-5/3", "--weight", "4", "--charge", "x"],
+        ["singular", "--level", "-5/3", "--weight", "4", "--check=1"],
+        ["--level", "-5/3", "zhu"],
+        [],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
+# Each command's options, as the argparse parser in helpers.py declares them.
+_OPTIONS = {
+    "singular": ("--level", "--weight", "--charge", "--grading", "--check", "--format"),
+    "zhu": ("--level", "--format"),
+    "classify": ("--level", "--format"),
+    "freefield": ("--level", "--format"),
+}
+_VALUES = ("-5/3", "4", "-1", "abc", "json", "bar", "", "--format")
+# An option with a value: separate, inline, by a unique or ambiguous prefix
+# (--ch on singular), and by a shorter prefix with an inline value.
+_FORMS = (
+    lambda opt, value: [opt, value],
+    lambda opt, value: [f"{opt}={value}"],
+    lambda opt, value: [opt[:4], value],
+    lambda opt, value: [f"{opt[:3]}={value}"],
+)
+
+
+def _argv_grid():
+    """Several thousand command lines: every command with no option or one
+    option in every form and value, then seeded draws of two and three; each
+    of those also after valid required options, with a trailing option that
+    lacks its value, and with its first option moved before the command."""
+    rng = random.Random(23)
+    grid = [[]]
+    for command, options in _OPTIONS.items():
+        pool = options + ("--help", "--bogus")
+        slots = [form(opt, value) for opt in pool for form in _FORMS for value in _VALUES]
+        cases = [[]] + [[slot] for slot in slots]
+        cases += [rng.sample(slots, rng.choice((2, 3))) for _ in range(300)]
+        for case in cases:
+            tokens = [token for slot in case for token in slot]
+            grid.append([command, *tokens])
+            grid.append([command, "--level", "-5/3", *(["--weight", "4"] if command == "singular" else []), *tokens])
+            if case:
+                grid.append([command, *tokens, rng.choice(pool)])
+                grid.append([*case[0], command, *tokens[len(case[0]):]])
+    return grid
+
+
+def _parse_with(parse, argv):
+    """The parsed values, "help", or "usage error" for a refused command line."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return "usage error" if exc.code else "help"
+    except HelpRequested:
+        return "help"
+    except UsageError:
+        return "usage error"
+
+
+def test_parse_argv_matches_the_argparse_parser():
+    """The table parser refuses, helps and parses exactly where argparse does.
+
+    argparse reads every grid case alike on Python 3.10 to 3.13, so no case is
+    pinned.  Outside the grid the parsers part on purpose where argparse
+    versions disagree: `--level=--` (a value of "--" here and on 3.13, an
+    empty list on 3.10-3.12) and `-hh` or `-h=h` (refused here)."""
+    reference = build_parser().parse_args
+    grid = _argv_grid()
+    assert len(grid) > 3000 and len({tuple(argv) for argv in grid}) > 3000
+    outcomes = {"help": 0, "usage error": 0, "parsed": 0}
+    mismatches = []
+    for argv in grid:
+        want = _parse_with(reference, argv)
+        got = _parse_with(parse_argv, argv)
+        outcomes[want if isinstance(want, str) else "parsed"] += 1
+        if got != want:
+            mismatches.append((argv, want, got))
+    assert not mismatches, mismatches[:5]
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_a_bpalg_call_imports_neither_argparse_nor_locale():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import contextlib, io, sys\n"
+        "from bpalgebra.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['zhu', '--level', '-5/3', '--format', 'json'])\n"
+        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    # -S: no site hook may load either module on the package's behalf.
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0 []\n"), done.stderr
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[command, "-h"] for command in _OPTIONS])
+def test_help_names_every_command_and_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    for command in _OPTIONS if argv[0].startswith("-") else argv[:1]:
+        assert f"bpalg {command}" in out
+        for option in _OPTIONS[command]:
+            assert option in out, (command, option)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +319,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "zhu", crash)
+    monkeypatch.setitem(cli._COMMANDS, "zhu", cli._COMMANDS["zhu"]._replace(handler=crash))
     code, out, err = run(capsys, "zhu", "--level", "-5/3")
     assert code == 3
     assert out == ""
@@ -212,7 +331,8 @@ def test_render_error_exits_3(capsys, monkeypatch):
     import bpalgebra.cli as cli
     from fractions import Fraction
 
-    monkeypatch.setitem(cli._COMMANDS, "zhu", lambda args: ({"x": Fraction(1, 3)}, True))
+    render = cli._COMMANDS["zhu"]._replace(handler=lambda args: ({"x": Fraction(1, 3)}, True))
+    monkeypatch.setitem(cli._COMMANDS, "zhu", render)
     code, out, err = run(capsys, "zhu", "--level", "-5/3", "--format", "json")
     assert code == 3
     assert out == ""
