@@ -23,7 +23,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Iterable
 
 Q = Fraction
 

@@ -17,8 +17,9 @@ symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
 from .modes import BAR, BPAlgebra, State
@@ -91,36 +92,36 @@ def _common_univariate_roots(p: Poly1, q: Poly1):
 # Classification data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BranchResult:
-    name: str
-    description: str
-    system: list
-    solutions: list
-    admitted: list
-    excluded: list = field(default_factory=list)  # (weight, reason)
-    complete: bool = True  # False when irrational solutions may be missing
+class BranchResult(SimpleNamespace):
+    """``excluded`` holds (weight, reason) pairs; ``complete`` is False when
+    irrational solutions may be missing."""
+
+    def __init__(self, name: str, description: str, system: list, solutions: list, admitted: list,
+                 excluded: list | None = None, complete: bool = True):
+        super().__init__(name=name, description=description, system=system, solutions=solutions,
+                         admitted=admitted, excluded=[] if excluded is None else excluded, complete=complete)
 
 
-@dataclass
-class Certificate:
-    weight: tuple
-    poly_in_i: Poly1
-    rational_roots: list
-    verdict: str
+Certificate = namedtuple("Certificate", "weight poly_in_i rational_roots verdict")
 
 
-@dataclass
-class WeightSet:
-    k: Fraction
-    finite_top: list
-    infinite_top: list
-    finite_families: list = field(default_factory=list)  # symbolic families (k = -1, 0)
-    branches: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
-    identities: list = field(default_factory=list)  # (label, bool)
-    flags: list = field(default_factory=list)
-    flagged_corner: tuple | None = None  # (x, y) the flag names; checked, never rendered
+class WeightSet(SimpleNamespace):
+    """``finite_families`` holds the symbolic families (k = -1, 0),
+    ``identities`` (label, bool) pairs, and ``flagged_corner`` the (x, y) the
+    flag names, which is checked and never rendered."""
+
+    def __init__(self, k: Fraction, finite_top: list, infinite_top: list, finite_families: list | None = None,
+                 branches: list | None = None, certificates: list | None = None, identities: list | None = None,
+                 flags: list | None = None, flagged_corner: tuple | None = None):
+        super().__init__(
+            k=k, finite_top=finite_top, infinite_top=infinite_top,
+            finite_families=[] if finite_families is None else finite_families,
+            branches=[] if branches is None else branches,
+            certificates=[] if certificates is None else certificates,
+            identities=[] if identities is None else identities,
+            flags=[] if flags is None else flags,
+            flagged_corner=flagged_corner,
+        )
 
 
 def _singular_vector(k) -> tuple[BPAlgebra, State]:

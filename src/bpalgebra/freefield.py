@@ -18,19 +18,16 @@ states are those of :class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .arith import Q, frac
 from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, ScalarState, State, expand_word
 from .weightspace import multisets
 
 
-@dataclass(frozen=True)
-class FFGenerator:
-    name: str
-    parity: int  # 0 even, 1 odd
-    conformal_weight: Fraction
+FFGenerator = namedtuple("FFGenerator", "name parity conformal_weight")  # parity: 0 even, 1 odd
 
 
 class FFState(ScalarState):
@@ -151,12 +148,10 @@ def fermionic_algebra() -> FFAlgebra:
 # Embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Embedding:
-    name: str
-    k: Fraction
-    algebra: FFAlgebra
-    images: dict  # BP generator -> FFState; "T" holds the conformal vector
+class Embedding(SimpleNamespace):
+    def __init__(self, name: str, k: Fraction, algebra: FFAlgebra, images: dict):
+        # images: BP generator -> FFState; "T" holds the conformal vector
+        super().__init__(name=name, k=k, algebra=algebra, images=images)
 
 
 def weyl_embedding() -> Embedding:

@@ -31,7 +31,7 @@ free-field algebras plug into the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import math
 import re
@@ -119,8 +119,7 @@ def _accumulate(acc: dict, key, value: Fraction) -> None:
     acc[key] = value if prev is None else prev + value
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))):
     """Exact commutator [a, b] of two generator modes.
 
     ``j2`` holds unexpanded (J^2)_p markers as (p, coefficient) pairs; they
@@ -131,9 +130,7 @@ class Bracket:
     the memoized ones hold their constants in the algebra's state ring.
     """
 
-    j2: tuple = ()
-    linear: tuple = ()
-    scalar: Fraction = Q(0)
+    __slots__ = ()
 
 
 class State:

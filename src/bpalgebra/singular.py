@@ -18,20 +18,20 @@ reused by every call at one (level, grading); only the latest pair is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .arith import _PRIME, NotInvertibleModP, Poly2, frac, kernel_basis, rank_mod_p, residue
 from .modes import BAR, GM, GP, J, L, OMEGA, VAC, BPAlgebra, ScalarState, State
 from .weightspace import enumerate_basis
 
 
-@dataclass
-class AnnihilatorSet:
+class AnnihilatorSet(SimpleNamespace):
     """Modes required to annihilate a candidate singular vector."""
 
-    modes: list
+    def __init__(self, modes: list):
+        super().__init__(modes=modes)
 
     @staticmethod
     def default(convention: str, include_gm0=False) -> "AnnihilatorSet":
@@ -41,16 +41,14 @@ class AnnihilatorSet:
         return AnnihilatorSet(modes)
 
 
-@dataclass
-class SingularSolution:
-    k: Fraction
-    weight: Fraction
-    charge: int
-    convention: str
-    space_dimension: int  # dimension of the weight space searched
-    dimension: int
-    vectors: list  # list of State
-    annihilators: list = field(default_factory=list)
+class SingularSolution(SimpleNamespace):
+    """``vectors`` (a list of State) spans the kernel in the weight space
+    searched, of dimension ``space_dimension``."""
+
+    def __init__(self, k: Fraction, weight: Fraction, charge: int, convention: str,
+                 space_dimension: int, dimension: int, vectors: list, annihilators: list | None = None):
+        super().__init__(k=k, weight=weight, charge=charge, convention=convention, space_dimension=space_dimension,
+                         dimension=dimension, vectors=vectors, annihilators=[] if annihilators is None else annihilators)
 
 
 class _ScalarAlgebra(BPAlgebra):

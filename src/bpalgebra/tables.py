@@ -8,10 +8,10 @@ copy of the data.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 import json
-from typing import NamedTuple
+import os
 
 from .arith import Poly2, Q, frac
 from .modes import BPAlgebra, State, parse_mode
@@ -19,7 +19,7 @@ from .modes import BPAlgebra, State, parse_mode
 
 @lru_cache(maxsize=None)
 def _load(name: str):
-    with resources.files("bpalgebra.golden").joinpath(name).open("r") as fh:
+    with open(os.path.join(os.path.dirname(__file__), "golden", name), encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -88,7 +88,7 @@ def singular_table_name(level, weight, charge: int, convention: str) -> str | No
     return None
 
 
-class RationalLevel(NamedTuple):
+class RationalLevel(namedtuple("RationalLevel", "singular projection relation")):
     """The golden names of a rational level's data; its power and y0 are derived.
 
     ``singular`` names the golden singular vector (bar grading), ``projection``
@@ -96,9 +96,7 @@ class RationalLevel(NamedTuple):
     ``zhu.json``; see ``zhu.smith_relation`` and ``zhu.relation_line``.
     """
 
-    singular: str
-    projection: str
-    relation: str
+    __slots__ = ()
 
 
 RATIONAL_LEVELS = {

@@ -9,9 +9,9 @@ cross-checked in tests without trusting the enumeration code itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import os
+from types import SimpleNamespace
 
 from .arith import Q, frac
 from .modes import BAR, GM, GP, HW, J, L, BPAlgebra, State
@@ -24,14 +24,9 @@ def weight_bound() -> int:
     return int(os.environ.get("BPALG_WEIGHT_BOUND", DEFAULT_WEIGHT_BOUND))
 
 
-@dataclass
-class WeightSpaceBasis:
-    k: Fraction
-    convention: str
-    base: str
-    weight: Fraction
-    charge: int
-    monomials: list
+class WeightSpaceBasis(SimpleNamespace):
+    def __init__(self, k: Fraction, convention: str, base: str, weight: Fraction, charge: int, monomials: list):
+        super().__init__(k=k, convention=convention, base=base, weight=weight, charge=charge, monomials=monomials)
 
     def __len__(self):
         return len(self.monomials)

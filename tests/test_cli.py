@@ -216,19 +216,24 @@ def test_parse_argv_matches_the_argparse_parser():
     assert min(outcomes.values()) > 100, outcomes
 
 
-def test_a_bpalg_call_imports_neither_argparse_nor_locale():
+def test_import_and_a_bpalg_call_load_no_unused_stdlib_module():
+    """Neither ``import bpalgebra`` nor a ``bpalg`` call pays for modules no report uses."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
-        "import contextlib, io, sys\n"
+        "import io, sys\n"
+        "unused = {'argparse', 'locale', 'dataclasses', 'inspect', 'typing', 'importlib.resources'}\n"
+        "import bpalgebra\n"
+        "loaded = [sorted(unused & set(sys.modules))]\n"
         "from bpalgebra.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['zhu', '--level', '-5/3', '--format', 'json'])\n"
-        "print(code, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "code = main(['zhu', '--level', '-5/3', '--format', 'json'])\n"
+        "sys.stdout = stdout\n"
+        "print(code, loaded + [sorted(unused & set(sys.modules))])\n"
     )
-    # -S: no site hook may load either module on the package's behalf.
+    # -S: no site hook may load any of them on the package's behalf.
     done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout) == (0, "0 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "0 [[], []]\n"), done.stderr
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[command, "-h"] for command in _OPTIONS])
