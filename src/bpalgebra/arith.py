@@ -218,10 +218,14 @@ class Poly2:
         return total
 
     def subst(self, px: "Poly2", py: "Poly2") -> "Poly2":
-        """Substitute x -> px, y -> py."""
+        """Substitute x -> px, y -> py; each power of px and py is built once."""
+        xpow, ypow = [Poly2.const(1)], [Poly2.const(1)]
+        for pows, base, deg in ((xpow, px, self.degree_in("x")), (ypow, py, self.degree_in("y"))):
+            for _ in range(deg):
+                pows.append(pows[-1] * base)
         out = Poly2()
         for (i, j), val in self.c.items():
-            out = out + Poly2.const(val) * px**i * py**j
+            out = out + xpow[i] * ypow[j] * val
         return out
 
     def specialize(self, var: str, value) -> "Poly1":

@@ -57,6 +57,7 @@ class FFAlgebra(ModeAlgebra):
         self._pairing = pairing
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
+        self._weight_memo: dict = {}
 
     def parity(self, gen: str) -> int:
         return self.generators[gen].parity
@@ -345,13 +346,13 @@ def weyl_charge_decomposition(max_weight) -> dict:
     weight 1/2) and J_0 counts (num(a+) - num(a-))/3.
     """
     max_weight = frac(max_weight)
-    # a+-(-n) creates weight n - 1/2.
+    # a+-(-n) creates weight n - 1/2, drawn as the int 2n - 1 (twice it).
     top = int(max_weight + Q(1, 2))
-    pool = [((gen, -n), n - Q(1, 2)) for gen in ("a+", "a-") for n in range(1, top + 1)]
+    pool = [((gen, -n), 2 * n - 1) for gen in ("a+", "a-") for n in range(1, top + 1)]
     dims: dict[tuple, int] = {}
     for twice_w in range(int(2 * max_weight) + 1):
         weight = Q(twice_w, 2)
-        for mono in multisets(pool, weight):
+        for mono in multisets(pool, twice_w):
             key = (weight, Q(sum(1 if gen == "a+" else -1 for gen, _ in mono), 3))
             dims[key] = dims.get(key, 0) + 1
     return dims

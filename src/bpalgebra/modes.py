@@ -272,8 +272,10 @@ class ModeAlgebra:
       for the iterate recursion.
 
     A subclass also sets ``state_type`` and creates the memo dicts
-    ``_insert_memo`` and ``_action_memo``.  Memo values are frozen tuples of
-    (monomial, coefficient) pairs, so no result can alias a memo table.
+    ``_insert_memo``, ``_action_memo`` and ``_weight_memo``.  Insertion and
+    action memo values are frozen tuples of (monomial, coefficient) pairs, so
+    no result can alias a memo table; the weight memo holds one immutable
+    ``Fraction`` per monomial.
 
     Modes of composite states follow the Borcherds iterate recursion: for a
     monomial a u with head generator a,
@@ -286,7 +288,11 @@ class ModeAlgebra:
     state_type = State
 
     def monomial_weight(self, mono: tuple) -> Fraction:
-        return sum((self.weight(m) for m in mono), Q(0))
+        memo = self._weight_memo
+        hit = memo.get(mono)
+        if hit is None:
+            hit = memo[mono] = sum((self.weight(m) for m in mono), Q(0))
+        return hit
 
     def monomial_parity(self, mono: tuple) -> int:
         return sum(self.parity(g) for g, _ in mono) % 2
@@ -353,32 +359,30 @@ class ModeAlgebra:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        lift = self.state_type.lift
         if not umono:
-            result = memo[key] = ((wmono, lift(1)),) if p == -1 else ()
+            result = memo[key] = ((wmono, self.state_type.lift(1)),) if p == -1 else ()
             return result
         head, rest = umono[0], umono[1:]
         gen, m = head[0], self.product_index(head)
         w_weight = self.monomial_weight(wmono)
         total = self.state_type(base=base)
-        # Head sum: a_(m-j) (rest_(p+j) w).  x_(n) w has weight
+        # Head sum: a_(m-j) (rest_(p+j) w), the mode inserted into each
+        # monomial of the inner product.  x_(n) w has weight
         # wt(x) + wt(w) - n - 1 and vanishes when that is negative.
         for j in range(math.floor(self.monomial_weight(rest) + w_weight - p)):
             coeff = (-1) ** j * binomial(m, j)
             if coeff:
-                inner = self._mono_product(rest, p + j, wmono, base)
-                if inner:
-                    inner_state = self.state_type(base=base, terms=dict(inner))
-                    total.add_scaled(self.apply_mode(self.product_mode(gen, m - j), inner_state).terms.items(), coeff)
+                md = self.product_mode(gen, m - j)
+                for mono2, c2 in self._mono_product(rest, p + j, wmono, base):
+                    total.add_scaled(self._insert(md, mono2, base), coeff * c2)
         # Tail sum: rest_(m+p-j) (a_(j) w); a_(j) w has weight
         # weight(product_mode(gen, j)) + wt(w), one less for each step in j.
         koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
         tail_sign = koszul * (1 if m % 2 else -1)
-        wstate = self.state_type(base=base, terms={wmono: lift(1)})
         for j in range(math.floor(self.weight(self.product_mode(gen, 0)) + w_weight) + 1):
             coeff = (-1) ** j * binomial(m, j) * tail_sign
             if coeff:
-                for mono2, c2 in self.apply_mode(self.product_mode(gen, j), wstate).terms.items():
+                for mono2, c2 in self._insert(self.product_mode(gen, j), wmono, base):
                     total.add_scaled(self._mono_product(rest, m + p - j, mono2, base), coeff * c2)
         result = memo[key] = tuple(total.terms.items())
         return result
@@ -398,6 +402,7 @@ class BPAlgebra(ModeAlgebra):
         self.central_charge = -(3 * self.k + 1) * (2 * self.k + 3) / (self.k + 3)
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
+        self._weight_memo: dict = {}
         self._bracket_memo: dict = {}
 
     # ------------------------------------------------------------------

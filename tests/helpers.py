@@ -8,10 +8,12 @@ with a reproduction hint on failure.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 from fractions import Fraction
 
 from bpalgebra import BPAlgebra, State
+from bpalgebra.arith import binomial
 from bpalgebra.cli import _NEGATIVE_RATIONAL
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
@@ -28,6 +30,50 @@ def falling_binomial(n, j: int) -> Fraction:
     for t in range(1, j + 1):
         num /= t
     return num
+
+
+def reference_mono_product(algebra, umono: tuple, p: int, wmono: tuple, base: str, memo: dict) -> tuple:
+    """``umono_(p) wmono`` as (monomial, coefficient) pairs, by the iterate
+    recursion as ``ModeAlgebra._mono_product`` computed it before it read the
+    insertion memo: every head-sum and tail-sum term goes through
+    ``apply_mode`` on a temporary state, and weights are summed afresh.
+
+    The reference for that method; ``memo`` is the caller's own dict, so the
+    engine's action memo is neither read nor written.
+    """
+    key = (umono, p, wmono, base)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    lift = algebra.state_type.lift
+    if not umono:
+        result = memo[key] = ((wmono, lift(1)),) if p == -1 else ()
+        return result
+
+    def weight(mono):
+        return sum((algebra.weight(m) for m in mono), Fraction(0))
+
+    head, rest = umono[0], umono[1:]
+    gen, m = head[0], algebra.product_index(head)
+    w_weight = weight(wmono)
+    total = algebra.state_type(base=base)
+    for j in range(math.floor(weight(rest) + w_weight - p)):
+        coeff = (-1) ** j * binomial(m, j)
+        if coeff:
+            inner = reference_mono_product(algebra, rest, p + j, wmono, base, memo)
+            if inner:
+                inner_state = algebra.state_type(base=base, terms=dict(inner))
+                total.add_scaled(algebra.apply_mode(algebra.product_mode(gen, m - j), inner_state).terms.items(), coeff)
+    koszul = -1 if algebra.parity(gen) and algebra.monomial_parity(rest) else 1
+    tail_sign = koszul * (1 if m % 2 else -1)
+    wstate = algebra.state_type(base=base, terms={wmono: lift(1)})
+    for j in range(math.floor(algebra.weight(algebra.product_mode(gen, 0)) + w_weight) + 1):
+        coeff = (-1) ** j * binomial(m, j) * tail_sign
+        if coeff:
+            for mono2, c2 in algebra.apply_mode(algebra.product_mode(gen, j), wstate).terms.items():
+                total.add_scaled(reference_mono_product(algebra, rest, m + p - j, mono2, base, memo), coeff * c2)
+    result = memo[key] = tuple(total.terms.items())
+    return result
 
 
 def random_mode(rng: random.Random, lo=-3, hi=3):

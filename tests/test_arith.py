@@ -192,6 +192,31 @@ def test_poly2_subst_and_eval():
         assert r.specialize("x", xv).eval(yv) == r.eval(xv, yv) == r.specialize("y", yv).eval(xv)
 
 
+def test_poly2_subst_matches_the_term_by_term_definition():
+    """subst(px, py) == sum(val * px**i * py**j) over the terms, on random
+    polynomials of degree up to 4 (zero, constants, fractional and negative
+    coefficients) and substitutes of degree up to 2; x -> x, y -> y is the
+    identity."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+    def polys(max_degree):
+        keys = st.integers(0, max_degree).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, max_degree - i)))
+        return st.one_of(st.builds(Poly2.const, coeffs), st.dictionaries(keys, coeffs, max_size=6).map(Poly2))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys(4), polys(2), polys(2))
+    def check(p, px, py):
+        snapshot = (dict(p.c), dict(px.c), dict(py.c))
+        want = sum((val * px**i * py**j for (i, j), val in p.c.items()), Poly2())
+        _check_poly2_result(p.subst(px, py), want.c, p, px, py)
+        assert (dict(p.c), dict(px.c), dict(py.c)) == snapshot  # the operands are unchanged
+        assert p.subst(POLY_X, POLY_Y) == p
+
+    check()
+
+
 def test_poly2_json_roundtrip():
     p = POLY_X**3 - Q(3, 2) * POLY_X * POLY_Y - Q(5, 8) * POLY_X
     assert Poly2.from_json(p.to_json()) == p

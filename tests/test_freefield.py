@@ -154,10 +154,17 @@ def _weyl_series(max_twice_weight):
     return {(tw, c): v for tw, row in series.items() for c, v in row.items()}
 
 
+@pytest.mark.parametrize("max_weight", [0, 1, 2, 3, 4, 5, 6, Q(5, 2)])
+def test_weyl_charge_decomposition_matches_the_euler_product(max_weight):
+    dims = weyl_charge_decomposition(max_weight)
+    want = {(Q(tw, 2), Q(c, 3)): v for (tw, c), v in _weyl_series(int(2 * max_weight)).items()}
+    assert dims == want
+    # Equal int and Fraction keys compare equal, so the types are checked apart.
+    assert all(type(w) is Q and type(c) is Q for w, c in dims)
+
+
 def test_weyl_charge_decomposition():
     dims = weyl_charge_decomposition(4)
-    want = {(Q(tw, 2), Q(c, 3)): v for (tw, c), v in _weyl_series(8).items()}
-    assert dims == want
     assert dims[(Q(4), Q(0))] == 12
     assert dims[(Q(0), Q(0))] == 1
     om_eng = BPAlgebra(Q(-5, 3), OMEGA)

@@ -28,6 +28,8 @@ from helpers import (
     check_grading,
     check_spectral_flow_brackets,
     falling_binomial,
+    random_mode,
+    reference_mono_product,
 )
 
 KTEST = Q(-5, 3)
@@ -382,3 +384,71 @@ def test_iterate_recursion_obeys_the_borcherds_commutator_formula(name):
                         nonzero += not lhs.is_zero()
     assert nonzero >= 100, nonzero
     assert bool(signs) == (name == "fermionic")  # the BP generators are even
+
+
+def _suite_engine(suite, level, monkeypatch):
+    """The engine whose products a suite computed, and a fresh one like it."""
+    from bpalgebra import cli
+    from bpalgebra.freefield import check_embedding, embedding_for_level, fermionic_algebra, weyl_algebra
+
+    if suite == "freefield":
+        emb = embedding_for_level(level)
+        assert all(ok for _, ok, _, _ in check_embedding(emb))
+        return emb.algebra, {"weyl": weyl_algebra, "fermionic": fermionic_algebra}[emb.algebra.name]()
+    engines = []
+
+    def record(*args):
+        engines.append(BPAlgebra(*args))
+        return engines[-1]
+
+    monkeypatch.setattr(cli, "BPAlgebra", record)
+    assert cli.main(["zhu", "--level", level, "--format", "json"]) == 0
+    (engine,) = engines
+    return engine, BPAlgebra(engine.k, engine.convention)
+
+
+@pytest.mark.parametrize(
+    "suite, level",
+    [("zhu", "-5/3"), ("zhu", "-9/4"), ("zhu", "-1"), ("freefield", "-5/3"), ("freefield", "0")],
+)
+def test_iterate_recursion_matches_the_apply_mode_reference(suite, level, monkeypatch):
+    """Every entry of the action memo that the suite's products leave (Zhu
+    products, projections and Smith relations; the free-field OPE tables)
+    equals the iterate recursion run through apply_mode on temporary states,
+    on a fresh engine.  The fermionic realization has odd heads over odd
+    tails, where the Koszul sign is -1."""
+    engine, fresh = _suite_engine(suite, level, monkeypatch)
+    memo = {}
+    odd = 0
+    for key, pairs in engine._action_memo.items():
+        assert dict(pairs) == dict(reference_mono_product(fresh, *key, memo)), key
+        umono = key[0]
+        odd += bool(umono) and bool(engine.parity(umono[0][0]) and engine.monomial_parity(umono[1:]))
+    assert len(engine._action_memo) >= 20, len(engine._action_memo)
+    assert bool(odd) == (level == "0"), odd
+
+
+def test_monomial_weight_is_memoized_per_engine():
+    """Asked twice, monomial_weight equals the sum of weight on random
+    monomials of each engine; the engines are asked in turn, and G+- have
+    different weights in the two gradings, so a memo shared between engines
+    would fail."""
+    from bpalgebra.freefield import fermionic_algebra, weyl_algebra
+
+    rng = random.Random(25)
+    bp_monos = [tuple(random_mode(rng, -4, 2) for _ in range(rng.randint(0, 5))) for _ in range(300)]
+    ff_monos = {
+        name: [tuple((rng.choice(gens), rng.randint(-4, 2)) for _ in range(rng.randint(0, 5))) for _ in range(300)]
+        for name, gens in (("weyl", ("a+", "a-")), ("fermionic", ("P+", "P-", "b", "c")))
+    }
+    engines = [(BPAlgebra(KTEST, BAR), bp_monos), (BPAlgebra(KTEST, OMEGA), bp_monos),
+               (weyl_algebra(), ff_monos["weyl"]), (fermionic_algebra(), ff_monos["fermionic"])]
+    for i in range(300):
+        for alg, monos in engines:
+            mono = monos[i]
+            want = sum((alg.weight(m) for m in mono), Q(0))
+            for _ in range(2):
+                got = alg.monomial_weight(mono)
+                assert got == want and type(got) is Q, (alg, mono, got, want)
+    bar_eng, om_eng = engines[0][0], engines[1][0]
+    assert any(bar_eng.monomial_weight(m) != om_eng.monomial_weight(m) for m in bp_monos)
