@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush

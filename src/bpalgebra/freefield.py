@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .arith import Q, frac
-from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, ModeAlgebra, ScalarState, State, expand_word
+from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, Bracket, ModeAlgebra, ScalarState, State, expand_word
 from .weightspace import multisets
 
 
@@ -81,8 +81,8 @@ class FFAlgebra(ModeAlgebra):
     def base_action(self, mode, base: str) -> Fraction:
         return Q(0)  # every non-creation mode kills the vacuum
 
-    def commutator(self, mode, head, rest_state: FFState) -> FFState:
-        return rest_state.scaled(self._pairing(mode, head))
+    def bracket(self, mode, head) -> Bracket:
+        return Bracket(scalar=self._pairing(mode, head))
 
     def translate(self, s: FFState) -> FFState:
         """The translation operator D: [D, x_(n)] = -n x_(n-1), D(vacuum) = 0."""

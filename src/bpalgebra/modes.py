@@ -23,10 +23,12 @@ reproduce) with non-increasing mode indices inside each generator block.
 
 :class:`State` is the one sparse combination type of the package and
 :class:`ModeAlgebra` the one normal-ordering engine: it inserts a mode into a
-canonical monomial by commuting it past the head, and computes modes of
+canonical monomial by commuting it past the head, applying the bracket
+[mode, head] straight to the rest of the monomial, and computes modes of
 composite states by the Borcherds iterate recursion.  :class:`BPAlgebra`
 supplies the generators, the creation ranges and the brackets; the
-free-field algebras plug into the same engine.
+free-field algebras plug into the same engine through the same ``bracket``
+hook.
 """
 
 from __future__ import annotations
@@ -124,10 +126,11 @@ class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))
 
     ``j2`` holds unexpanded (J^2)_p markers as (p, coefficient) pairs; they
     are expanded with the normal-ordered splitting only when applied to a
-    state, where finitely many terms survive.  ``linear`` lists (mode, coeff)
-    and ``scalar`` is the central term with delta conditions already
-    evaluated.  Brackets are memoized per algebra, so they are immutable;
-    the memoized ones hold their constants in the algebra's state ring.
+    canonical monomial, where finitely many terms survive
+    (:meth:`ModeAlgebra._add_bracket`).  ``linear`` lists (mode, coeff) and
+    ``scalar`` is the central term with delta conditions already evaluated.
+    Brackets are memoized per algebra, so they are immutable; the ones an
+    algebra's ``bracket`` returns hold their constants in its state ring.
     """
 
     __slots__ = ()
@@ -263,9 +266,8 @@ class ModeAlgebra:
     * ``mode_key(mode)`` -- the canonical PBW order of creation modes;
     * ``base_action(mode, base)`` -- the scalar by which a non-creation mode
       acts on the bare base vector;
-    * ``commutator(mode, head, rest_state)`` -- the (super)commutator
-      [mode, head] applied to ``rest_state``, as a new state that the caller
-      may mutate;
+    * ``bracket(mode, head)`` -- the (super)commutator [mode, head] as a
+      :class:`Bracket` whose constants lie in the ring of ``state_type``;
     * ``parity(gen)`` -- the Koszul sign of a swap; odd modes square to zero;
     * ``weight(mode)``, ``product_mode(gen, j)`` (the mode acting as the j-th
       product of the generator state) and its inverse ``product_index(mode)``
@@ -331,12 +333,44 @@ class ModeAlgebra:
             # m head rest = +-head (m rest) + [m, head] rest, from the memo.
             head, rest = mono[0], mono[1:]
             odd = self.parity(m[0]) and self.parity(head[0])
-            total = self.commutator(m, head, self.state_type(base=base, terms={rest: lift(1)}))
+            total = self.state_type(base=base)
+            self._add_bracket(total, self.bracket(m, head), rest)
             for mono2, c2 in self._insert(m, rest, base):
                 total.add_scaled(self._insert(head, mono2, base), -c2 if odd else c2)
             result = tuple(total.terms.items())
         memo[key] = result
         return result
+
+    def _add_bracket(self, out: State, br: Bracket, mono: tuple, factor=None) -> None:
+        """Add ``factor`` (1 when omitted) times ``br`` applied to the canonical
+        monomial ``mono`` into ``out``; both lie in the ring of ``out``.
+
+        A (J^2)_p marker expands with the normal-ordered splitting
+            (J^2)_p = sum_{j<=-1} J_j J_{p-j} + sum_{j>=0} J_{p-j} J_j,
+        which the printed table requires; J_q kills the monomial for q above
+        its weight (J modes have weight -index), so only j in [p - wt, wt] acts.
+        """
+        base = out.base
+        if br.scalar:
+            out.add_scaled(((mono, br.scalar),), factor)
+        for md, coeff in br.linear:
+            out.add_scaled(self._insert(md, mono, base), coeff if factor is None else coeff * factor)
+        if br.j2:
+            top = int(self.monomial_weight(mono))
+            for p, coeff in br.j2:
+                if factor is not None:
+                    coeff = coeff * factor
+                for j in range(p - top, top + 1):
+                    inner, outer = ((J, p - j), (J, j)) if j < 0 else ((J, j), (J, p - j))
+                    for mono2, c2 in self._insert(inner, mono, base):
+                        out.add_scaled(self._insert(outer, mono2, base), coeff * c2)
+
+    def apply_bracket(self, br: Bracket, s: State) -> State:
+        """A bracket, its constants in the ring of ``s``, applied to ``s``."""
+        out = type(s)(base=s.base)
+        for mono, coeff in s.terms.items():
+            self._add_bracket(out, br, mono, coeff)
+        return out
 
     def normal_form(self, word, base: str = VAC, coeff=1) -> State:
         """Canonical state for a mode word applied right-to-left to the base."""
@@ -557,49 +591,6 @@ class BPAlgebra(ModeAlgebra):
     apply_mode = ModeAlgebra.apply_mode
     normal_form = ModeAlgebra.normal_form
 
-    def commutator(self, m: Mode, head: Mode, rest_state: State) -> State:
-        return self.apply_bracket(self.bracket(m, head), rest_state)
-
-    def apply_bracket(self, br: Bracket, s: State, act=None) -> State:
-        """Apply a bracket result to s.
-
-        A linear term coeff * md adds the pairs of md on each monomial of s,
-        scaled once by coeff times that monomial's coefficient.  The pairs
-        come from :meth:`_insert`, or, when a state action ``act`` is given
-        (the spectral-flow twist), from ``act`` on that monomial alone.
-        """
-        out = s.scaled(br.scalar) if br.scalar else type(s)(base=s.base)
-        pairs = self._insert if act is None else (
-            lambda md, mono, base: act(md, type(s)(base=base, terms={mono: s.lift(1)})).terms.items()
-        )
-        for md, coeff in br.linear:
-            for mono, c in s.terms.items():
-                out.add_scaled(pairs(md, mono, s.base), coeff * c)
-        for p, coeff in br.j2:
-            out.add_scaled(self.apply_j2(p, s, act).terms.items(), coeff)
-        return out
-
-    def apply_j2(self, p: int, s: State, act=None) -> State:
-        """(J^2)_p s with the normal-ordered splitting.
-
-        (J^2)_p = sum_{j<=-1} J_j J_{p-j} + sum_{j>=0} J_{p-j} J_j, truncated
-        to the finitely many terms that act nonzero on s.  This exact
-        splitting is required to reproduce the printed bracket table.  J
-        modes have weight -index in either convention, so J_q kills s for q
-        above its top weight; the spectral flow changes J only at J_0, so the
-        same window serves an ``act`` that applies flowed modes.
-        """
-        act = act or self.apply_mode
-        out = type(s)(base=s.base)
-        if s.is_zero():
-            return out
-        maxw = int(max(self.monomial_weight(m) for m in s.terms))
-        for j in range(p - maxw, 0):
-            out.add_scaled(act((J, j), act((J, p - j), s)).terms.items())
-        for j in range(0, maxw + 1):
-            out.add_scaled(act((J, p - j), act((J, j), s)).terms.items())
-        return out
-
     def state_from_words(self, entries, base: str = VAC) -> State:
         """Sum of coeff * word(base) over (word, coeff) pairs."""
         out = self.state_type(base=base)
@@ -623,34 +614,6 @@ class BPAlgebra(ModeAlgebra):
             for word, c in expand_word(mono, self.convention, target.convention, coeff):
                 out = out + target.normal_form(word, coeff=c)
         return out
-
-    # ------------------------------------------------------------------
-    # Spectral flow
-    # ------------------------------------------------------------------
-    def spectral_flow_mode(self, m: Mode):
-        """The mode substitution of the spectral-flow twist (bar convention).
-
-        Returns (list of (mode, coeff), scalar).
-        """
-        if self.convention != BAR:
-            raise ValueError("spectral flow is defined on the integer-graded convention")
-        gen, n = m
-        lam = self.heis_level
-        if gen == J:
-            return [((J, n), Q(1))], (-lam if n == 0 else Q(0))
-        if gen == L:
-            return [((L, n), Q(1)), ((J, n), Q(-1))], (lam if n == 0 else Q(0))
-        if gen == GP:
-            return [((GP, n - 1), Q(1))], Q(0)
-        return [((GM, n + 1), Q(1))], Q(0)
-
-    def apply_spectral_flow_op(self, m: Mode, s: State) -> State:
-        combo, scalar = self.spectral_flow_mode(m)
-        return self.apply_bracket(Bracket(linear=tuple(combo), scalar=scalar), s)
-
-    def apply_spectral_flow_bracket(self, br: Bracket, s: State) -> State:
-        """Apply the spectral-flow image of a bracket result to a state."""
-        return self.apply_bracket(br, s, self.apply_spectral_flow_op)
 
     # ------------------------------------------------------------------
     # Modes of composite states (hooks of the iterate recursion)

@@ -14,7 +14,7 @@ import os
 from types import SimpleNamespace
 
 from .arith import Q, frac
-from .modes import BAR, GM, GP, HW, J, L, BPAlgebra, State
+from .modes import BAR, GM, GP, HW, J, L, BPAlgebra, State, mode_str
 
 DEFAULT_WEIGHT_BOUND = 8
 
@@ -32,8 +32,6 @@ class WeightSpaceBasis(SimpleNamespace):
         return len(self.monomials)
 
     def to_json(self):
-        from .modes import mode_str
-
         return [[mode_str(m) for m in mono] for mono in self.monomials]
 
 

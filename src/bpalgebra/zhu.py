@@ -318,12 +318,11 @@ class ZhuReducer:
             (gen, n), rest = mono[0], mono[1:]
             # A canonical vacuum mode has n <= boundary = -(generator weight).
             d = -self.algebra.creation_bound(gen, VAC)
-            rest_state = State(VAC, {rest: Poly2.const(1)})
             # The boundary mode n == -d is peeled with the star product.
-            result = self._gen_image(gen) * self.reduce_state(rest_state) if n == -d else self.smith.zero()
+            result = self._gen_image(gen) * self.reduce_mono(rest) if n == -d else self.smith.zero()
             for j in range(1, d + 1):
-                moved = self.algebra.apply_mode((gen, n + j), rest_state)
-                result = result - self.reduce_state(moved).scaled(binomial(d, j))
+                for mono2, coeff in self.algebra._insert((gen, n + j), rest, VAC):
+                    result = result - self.reduce_mono(mono2).scaled(binomial(d, j) * coeff.const_value())
         self._memo[mono] = result
         return result
 

@@ -59,6 +59,33 @@ def test_generator_mode_commutators_random():
             assert lhs == s.scaled(pair), (g1, m, g2, n, word)
 
 
+@pytest.mark.parametrize("make", [weyl_algebra, fermionic_algebra])
+def test_apply_bracket_is_the_supercommutator(make):
+    """apply_bracket(bracket(a, b), s) == a(b s) - (-1)^{|a||b|} b(a s) on
+    random states: the pairing reaches normal ordering through ``bracket``."""
+    alg = make()
+    rng = random.Random(f"bracket-{alg.name}")
+    gens = list(alg.generators)
+    nonzero = 0
+    for _ in range(60):
+        a = (rng.choice(gens), rng.randint(-3, 2))
+        b = (rng.choice(gens), rng.randint(-3, 2))
+        paired = [(g, n) for g in gens for n in range(-3, 3) if alg._pairing(a, (g, n))]
+        if paired and rng.random() < 0.5:  # half the pairs with a nonzero pairing, where there is one
+            b = rng.choice(paired)
+        s = FFState()
+        for _ in range(rng.randint(1, 3)):
+            word = [(rng.choice(gens), rng.randint(-3, -1)) for _ in range(rng.randint(0, 4))]
+            s = s + alg.normal_form(word, coeff=Q(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        sign = -1 if alg.parity(a[0]) and alg.parity(b[0]) else 1
+        lhs = alg.apply_mode(a, alg.apply_mode(b, s)) - alg.apply_mode(b, alg.apply_mode(a, s)).scaled(sign)
+        got = alg.apply_bracket(alg.bracket(a, b), s)
+        assert got == lhs, (a, b, s)
+        assert type(got) is FFState and all(type(c) is Q for c in got.terms.values())
+        nonzero += not got.is_zero()
+    assert nonzero >= 15, nonzero
+
+
 def test_lemma_products_weyl():
     emb = weyl_embedding()
     w = emb.algebra

@@ -30,6 +30,7 @@ from helpers import (
     falling_binomial,
     random_mode,
     reference_mono_product,
+    spectral_flow_mode,
 )
 
 KTEST = Q(-5, 3)
@@ -158,11 +159,11 @@ def test_convert_roundtrip_random(om, bar):
 
 def test_spectral_flow_mode(bar):
     lam = bar.heis_level
-    combo, scalar = bar.spectral_flow_mode((GP, 0))
+    combo, scalar = spectral_flow_mode(bar, (GP, 0))
     assert combo == [((GP, -1), 1)] and scalar == 0
-    combo, scalar = bar.spectral_flow_mode((J, 1))
+    combo, scalar = spectral_flow_mode(bar, (J, 1))
     assert combo == [((J, 1), 1)] and scalar == 0
-    combo, scalar = bar.spectral_flow_mode((L, 0))
+    combo, scalar = spectral_flow_mode(bar, (L, 0))
     assert combo == [((L, 0), 1), ((J, 0), -1)] and scalar == lam
 
 
@@ -254,12 +255,12 @@ def test_returned_states_do_not_alias_memo_tables(name):
             first.add_term(mono, 1)
         first.add_term(((word[0][0], -9),), 1)
         assert call() == expected
-    # _insert adds into the state commutator returns: it must be a new one.
+    # apply_bracket adds into a state of its own: never the argument's.
     unit, nonzero = alg.state_type, 0
     for m in [(gen, -n - 1) for gen, n in word + u_word]:
         for head in word:
             rest = unit(base=base, terms={(): unit.lift(1)})
-            out = alg.commutator(m, head, rest)
+            out = alg.apply_bracket(alg.bracket(m, head), rest)
             assert out is not rest and out.terms is not rest.terms
             nonzero += not out.is_zero()
             out.add_term(((word[0][0], -9),), 1)

@@ -18,6 +18,8 @@ from bpalgebra.singular import (
 from bpalgebra.tables import omega3, omega4, omega4_bar
 from bpalgebra.weightspace import enumerate_basis
 
+from helpers import bracket_by_definition
+
 
 def test_weight4_kernel_matches_table():
     sol = find_singular(Q(-5, 3), 4, 0, OMEGA)
@@ -291,16 +293,6 @@ def _random_coefficient(ring, rng):
     return residue(value) if ring is int else value
 
 
-def _bracket_by_definition(algebra, br, s):
-    """[a, b] s term by term: scalar, each linear mode through apply_mode, the (J^2)_p terms."""
-    out = s.scaled(br.scalar)
-    for md, coeff in br.linear:
-        out = out + algebra.apply_mode(md, s).scaled(coeff)
-    for p, coeff in br.j2:
-        out = out + algebra.apply_j2(p, s).scaled(coeff)
-    return out
-
-
 @pytest.mark.parametrize("grading", [BAR, OMEGA])
 @pytest.mark.parametrize("level", [Q(-5, 3)] + _random_levels(2, 20))
 def test_apply_bracket_matches_its_definition(level, grading):
@@ -322,7 +314,7 @@ def test_apply_bracket_matches_its_definition(level, grading):
                 for _ in range(2):
                     s = unit(terms={m: _random_coefficient(unit.ring, rng) for m in rng.sample(monomials, 4)})
                     got = algebra.apply_bracket(br, s)
-                    assert got == _bracket_by_definition(algebra, br, s), (algebra, a, b, s)
+                    assert got == bracket_by_definition(algebra, br, s), (algebra, a, b, s)
                     assert type(got) is unit and all(type(c) is unit.ring for c in got.terms.values())
     assert seen_j2 and len(creation) >= 17
 
