@@ -445,21 +445,33 @@ def rational_roots(p: Poly1):
         roots[Fraction(0)] = zero_mult
     work = Poly1(a, var=p.var)
     if work.degree() >= 1:
-        # Clear denominators: candidate roots r/s with r | a0, s | alead.
+        # Clear denominators: a root r/s in lowest terms has r | a0 and
+        # s | alead, and is one iff sum a_i r^i s^(d-i) vanishes.  The roots
+        # are deflated in ascending order, each as often as it divides.
         den_lcm = math.lcm(*(v.denominator for v in work.a))
         ints = [int(v * den_lcm) for v in work.a]
-        lead, trail = ints[-1], ints[0]
-        candidates = set()
-        for r in _divisors(abs(trail)):
-            for s in _divisors(abs(lead)):
-                candidates.add(Fraction(r, s))
-                candidates.add(Fraction(-r, s))
-        for cand in sorted(candidates):
-            while not work.is_const() and work.eval(cand) == 0:
+        found = []
+        for r in _divisors(abs(ints[0])):
+            for s in _divisors(abs(ints[-1])):
+                if math.gcd(r, s) == 1:
+                    found.extend(Fraction(num, s) for num in (r, -r) if not _homogeneous_value(ints, num, s))
+        for cand in sorted(found):
+            while not work.is_const():
+                quot, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
+                if not rem.is_zero():
+                    break
                 roots[cand] = roots.get(cand, 0) + 1
-                work, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
-                assert rem.is_zero()
+                work = quot
     return roots, work
+
+
+def _homogeneous_value(ints: list, r: int, s: int) -> int:
+    """s^d times the integer polynomial with coefficients ``ints`` at r/s."""
+    value, spow = ints[-1], 1
+    for coeff in reversed(ints[:-1]):
+        spow *= s
+        value = value * r + coeff * spow
+    return value
 
 
 def _divisors(n: int):

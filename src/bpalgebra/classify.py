@@ -135,11 +135,6 @@ def _singular_vector(k) -> tuple[BPAlgebra, State]:
     return bar, integral_level_vector(bar, "+", int(level) + 2)
 
 
-def projection_filter(k: Fraction) -> Poly2:
-    """The singular-vector projection in the bar labels: U or V at (x, y+x/2)."""
-    return zero_mode_poly(*_singular_vector(k), BAR)
-
-
 def infinite_top_certificates(k, weights) -> list[Certificate]:
     """Certify that h_i(x0,y0) has no positive-integer zero, per weight."""
     if not weights:

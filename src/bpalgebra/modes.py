@@ -4,14 +4,22 @@ Two index conventions are supported for the four generating fields J, L, G+,
 G- and are written here as in the source algebra:
 
 * ``omega`` -- modes taken with respect to the standard Virasoro vector
-  (half-integer grading; G+- carry conformal weight 3/2).  The commutation
-  table is encoded verbatim in :func:`BPAlgebra._bracket_omega`.
+  (half-integer grading; G+- carry conformal weight 3/2).  The printed
+  commutation table is written once, as data with symbolic indices
+  (``_OMEGA_TABLE``).
 * ``bar`` -- modes with respect to the shifted Virasoro vector obtained by
   adding half the derivative of J (integer grading; G+ has weight 1 and G-
   weight 2).  Brackets in this convention are *derived* from the omega table
-  through the mode substitution
+  through the mode substitution (``_BAR_IN_OMEGA``)
       J(n) = J_n,  L(n) = L_n - (n+1)/2 J_n,  G+(n) = G+_n,  G-(n) = G-_{n+1},
   so the printed table remains the single source of truth.
+
+The substitution is applied to the table symbolically, once per process and
+pair of generators, on the pair's first use: :func:`closed_form` gives the
+bracket as polynomials in the two mode indices times level constants.  A
+bracket is then evaluated, not derived: the integer indices go into its
+pair's closed form, and the level constants are lifted once per engine into
+its ring (Q, GF(p) or Q[x,y]).
 
 States are finite linear combinations of canonical PBW monomials applied to
 the vacuum or to a generic highest-weight vector v(x,y) with (J(0), L(0))
@@ -35,10 +43,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 import math
 import re
 
-from .arith import Poly2, Q, binomial, frac
+from .arith import POLY_X, POLY_Y, Poly2, Q, binomial, frac
 
 OMEGA = "omega"
 BAR = "bar"
@@ -87,20 +96,33 @@ def _mode_key(m: Mode):
     return (_RANK[m[0]], -m[1])
 
 
-def substitute(m: Mode, source: str, target: str) -> list:
-    """A ``source``-convention mode as (target mode, coefficient) pairs.
+# The bar modes in the omega modes: gen(n) is the sum of (a n + b)
+# out_{n + shift} over its (out, shift, (a, b)) entries, so J and G+ agree,
+# G-(n) = G-_{n+1} and L(n) = L_n - (n+1)/2 J_n.  The map fixes J, so its
+# inverse negates the shifts and the off-diagonal coefficients.  This table
+# is the only place the two gradings meet.
+_BAR_IN_OMEGA = {
+    J: ((J, 0, (0, 1)),),
+    L: ((L, 0, (0, 1)), (J, 0, (Q(-1, 2), Q(-1, 2)))),
+    GP: ((GP, 0, (0, 1)),),
+    GM: ((GM, 1, (0, 1)),),
+}
 
-    The bar modes are L(n) = L_n - (n+1)/2 J_n and G-(n) = G-_{n+1} in terms
-    of the omega modes; J and G+ agree.  This table is the only place the
-    two gradings meet.
-    """
-    gen, n = m
-    if source == target or gen in (J, GP):
-        return [(m, Q(1))]
+
+def _substitution(gen: str, n, source: str, target: str) -> list:
+    """The ``source`` mode gen(n) as (target generator, index shift,
+    coefficient) triples; ``n`` is an int, or a Poly2 for a symbolic index."""
+    if source == target:
+        return [(gen, 0, 1)]
     sign = 1 if source == BAR else -1
-    if gen == L:
-        return [((L, n), Q(1)), ((J, n), -sign * Q(n + 1, 2))]
-    return [((GM, n + sign), Q(1))]
+    return [(out, sign * shift, (a * n + b if a else b) * (1 if out == gen else sign))
+            for out, shift, (a, b) in _BAR_IN_OMEGA[gen]]
+
+
+def substitute(m: Mode, source: str, target: str) -> list:
+    """A ``source``-convention mode as (target mode, coefficient) pairs."""
+    gen, n = m
+    return [((out, n + shift), Q(c)) for out, shift, c in _substitution(gen, n, source, target)]
 
 
 def expand_word(word, source: str, target: str, coeff) -> list:
@@ -111,14 +133,120 @@ def expand_word(word, source: str, target: str, coeff) -> list:
     return words
 
 
-def _times(a: Fraction, b: Fraction) -> Fraction:
-    """a * b, without the multiplication when a factor is 1."""
-    return b if a == 1 else a if b == 1 else a * b
+# The printed commutation table in the omega grading: [a_m, b_n], with L_m
+# carrying the conformal index and J, G+- the n-th product index, as terms
+# (output, offset, {(i, j): coefficient of m^i n^j}, level constant).  The
+# output is the mode output_{m+n+offset}, the marker (J^2)_{m+n+offset}, or
+# the central term, present when m + n = offset.  [L_m, L_n] is the Virasoro
+# relation with central charge c_k.  Antisymmetry gives the other pairs.
+_J2, _CENTRAL = "(J^2)", "central"
+_OMEGA_TABLE = {
+    (J, J): ((_CENTRAL, 0, {(1, 0): 1}, "lambda"),),
+    (J, GP): ((GP, 0, {(0, 0): 1}, "1"),),
+    (J, GM): ((GM, 0, {(0, 0): -1}, "1"),),
+    (L, J): ((J, 0, {(0, 1): -1}, "1"),),
+    (L, L): ((L, 0, {(1, 0): 1, (0, 1): -1}, "1"), (_CENTRAL, 0, {(3, 0): 1, (1, 0): -1}, "c/12")),
+    (L, GP): ((GP, 0, {(1, 0): Q(1, 2), (0, 1): -1, (0, 0): Q(1, 2)}, "1"),),
+    (L, GM): ((GM, 0, {(1, 0): Q(1, 2), (0, 1): -1, (0, 0): Q(1, 2)}, "1"),),
+    (GP, GM): (
+        (_J2, -1, {(0, 0): 3}, "1"),
+        (J, -1, {(1, 0): 1, (0, 1): -1}, "3(k+1)/2"),
+        (L, -1, {(0, 0): 1}, "-(k+3)"),
+        (_CENTRAL, 1, {(2, 0): 1, (1, 0): -1}, "(k+1)(2k+3)/2"),
+    ),
+    (GP, GP): (),
+    (GM, GM): (),
+}
 
 
-def _accumulate(acc: dict, key, value: Fraction) -> None:
-    prev = acc.get(key)
-    acc[key] = value if prev is None else prev + value
+@lru_cache(maxsize=None)
+def _omega_relation(ga: str, gb: str) -> tuple:
+    """[ga_m, gb_n] as table terms with a Poly2 in (m, n) = (x, y)."""
+    if (ga, gb) in _OMEGA_TABLE:
+        return tuple((out, off, Poly2(poly), const) for out, off, poly, const in _OMEGA_TABLE[(ga, gb)])
+    return tuple((out, off, -poly.subst(POLY_Y, POLY_X), const) for out, off, poly, const in _omega_relation(gb, ga))
+
+
+@lru_cache(maxsize=None)
+def _output_substitution(out: str, off: int, convention: str) -> tuple:
+    """The omega output out_{m+n+off} as (output, offset, coefficient)
+    triples of the convention; a (J^2) marker is made of J modes."""
+    if out == _J2:
+        return ((out, off, 1),)
+    return tuple((out2, off + s2, c2) for out2, s2, c2 in _substitution(out, POLY_X + POLY_Y + off, OMEGA, convention))
+
+
+@lru_cache(maxsize=None)
+def closed_form(ga: str, gb: str, convention: str) -> tuple:
+    """[ga(m), gb(n)] in the convention, in closed form in (m, n); derived
+    from the printed table once per process, on the pair's first use.
+
+    Both modes are substituted into omega modes, the printed relation is
+    taken at the shifted indices, and each output is substituted back.  The
+    result lists (output, offset, terms): the (J^2) markers, the modes in
+    canonical order, then the central terms.  Each term is (polynomial,
+    (constant, den)): integer coefficients (c, i, j) of c m^i n^j, to be
+    multiplied by the level constant over ``den``.
+    """
+    acc: dict = {}
+    subs_b = _substitution(gb, POLY_Y, convention, OMEGA)
+    for oa, sa, ca in _substitution(ga, POLY_X, convention, OMEGA):
+        for ob, sb, cb in subs_b:
+            scale, shifted = ca * cb, (POLY_X + sa, POLY_Y + sb) if sa or sb else None
+            for out, off, poly, const in _omega_relation(oa, ob):
+                poly = poly.subst(*shifted) if shifted else poly
+                poly = poly if scale == 1 else poly * scale
+                outputs = (((out, off - sa - sb, 1),) if out == _CENTRAL
+                           else _output_substitution(out, off + sa + sb, convention))
+                for out2, off2, c2 in outputs:
+                    group = acc.setdefault((out2, off2), {})
+                    term, prev = poly if c2 == 1 else poly * c2, group.get(const)
+                    group[const] = term if prev is None else prev + term
+    order = {_J2: -1, **_RANK, _CENTRAL: len(_RANK)}
+    form = []
+    for (out, off), group in sorted(acc.items(), key=lambda t: (order[t[0][0]], -t[0][1])):
+        terms = []
+        for const, poly in group.items():
+            if poly:
+                den = math.lcm(*(c.denominator for c in poly.c.values()))
+                terms.append((tuple((int(c * den), i, j) for (i, j), c in poly.c.items()), (const, den)))
+        if terms:
+            form.append((out, off, tuple(terms)))
+    return tuple(form)
+
+
+def _q_constants(values: list) -> tuple:
+    """Rationals as integer numerators over their common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _evaluate(form: tuple, m: int, n: int, value) -> Bracket:
+    """A closed form with lifted constants at the indices (m, n).
+
+    Each output's sum of polynomial values times numerators goes through
+    ``value(total, den)`` into the ring; an output that vanishes there (mod
+    p, a nonzero sum may) is dropped.
+    """
+    s, j2, linear, scalar = m + n, [], [], None
+    for out, off, den, terms in form:
+        if out == _CENTRAL and s != off:
+            continue
+        total = 0
+        for poly, num in terms:
+            v = 0
+            for c, i, j in poly:
+                v += c * m**i * n**j
+            total += v * num
+        coeff = value(total, den) if total else None
+        if out == _CENTRAL:
+            scalar = coeff
+        elif coeff:
+            if out == _J2:
+                j2.append((s + off, coeff))
+            else:
+                linear.append(((out, s + off), coeff))
+    return Bracket(tuple(j2), tuple(linear), value(0, 1) if scalar is None else scalar)
 
 
 class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))):
@@ -432,12 +560,19 @@ class BPAlgebra(ModeAlgebra):
         if self.k == -3:
             raise ValueError("level -3 is excluded (the critical level)")
         self.convention = convention
-        self.heis_level = (2 * self.k + 3) / 3
-        self.central_charge = -(3 * self.k + 1) * (2 * self.k + 3) / (self.k + 3)
+        k = self.k
+        self.heis_level = (2 * k + 3) / 3
+        self.central_charge = -(3 * k + 1) * (2 * k + 3) / (k + 3)
+        # The level constants of the printed table, by their names there.
+        self._level_constants = {
+            "1": Q(1), "lambda": self.heis_level, "c/12": self.central_charge / 12, "3(k+1)/2": Q(3, 2) * (k + 1),
+            "-(k+3)": -(k + 3), "(k+1)(2k+3)/2": (k + 1) * (2 * k + 3) / 2,
+        }
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
         self._weight_memo: dict = {}
         self._bracket_memo: dict = {}
+        self._forms: dict = {}
 
     # ------------------------------------------------------------------
     # Gradings
@@ -500,88 +635,43 @@ class BPAlgebra(ModeAlgebra):
     # ------------------------------------------------------------------
     # Brackets
     # ------------------------------------------------------------------
-    def _bracket_omega(self, a: Mode, b: Mode) -> Bracket:
-        """The commutation table of the generating fields, encoded verbatim.
-
-        Indices: L_m carries the conformal (weight) index, J/G+- the n-th
-        product index.  [L_m, L_n] is the Virasoro relation with central
-        charge c_k; the remaining relations are the printed list.
-        """
-        (ga, m), (gb, n) = a, b
-        k = self.k
-        if ga == J and gb == J:
-            return Bracket(scalar=self.heis_level * m if m + n == 0 else Q(0))
-        if ga == J and gb in (GP, GM):
-            sign = 1 if gb == GP else -1
-            return Bracket(linear=(((gb, m + n), Q(sign)),))
-        if ga == L and gb == J:
-            return Bracket(linear=(((J, m + n), Q(-n)),))
-        if ga == L and gb == L:
-            return Bracket(
-                linear=(((L, m + n), Q(m - n)),),
-                scalar=self.central_charge * (m**3 - m) / 12 if m + n == 0 else Q(0),
-            )
-        if ga == L and gb in (GP, GM):
-            return Bracket(linear=(((gb, m + n), Q(m, 2) - n + Q(1, 2)),))
-        if ga == GP and gb == GM:
-            return Bracket(
-                j2=((m + n - 1, Q(3)),),
-                linear=(((J, m + n - 1), Q(3, 2) * (k + 1) * (m - n)), ((L, m + n - 1), -(k + 3))),
-                scalar=(k + 1) * (2 * k + 3) * (m - 1) * m / 2 if m + n == 1 else Q(0),
-            )
-        if ga == gb and ga in (GP, GM):
-            return Bracket()
-        # Remaining cases by antisymmetry.
-        flipped = self._bracket_omega(b, a)
-        return Bracket(
-            j2=tuple((p, -c) for p, c in flipped.j2),
-            linear=tuple((md, -c) for md, c in flipped.linear),
-            scalar=-flipped.scalar,
-        )
-
     def bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] with both modes (and the result) in this convention, memoized
-        with its constants lifted once into the ring of ``state_type``."""
+        """[a, b] with both modes (and the result) in this convention,
+        evaluated from the pair's closed form in the ring of ``state_type``
+        and memoized."""
         out = self._bracket_memo.get((a, b))
         if out is None:
-            br, lift = self._compute_bracket(a, b), self.state_type.lift
-            out = self._bracket_memo[(a, b)] = Bracket(
-                j2=tuple((p, lift(c)) for p, c in br.j2),
-                linear=tuple((md, lift(c)) for md, c in br.linear),
-                scalar=lift(br.scalar),
-            )
+            pair = (a[0], b[0])
+            form = self._forms.get(pair)
+            if form is None:
+                form = self._forms[pair] = self._lift_form(self.convention, pair, self._lift_constants)
+            out = self._bracket_memo[(a, b)] = _evaluate(form, a[1], b[1], self._ring_value)
         return out
 
-    def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] over Q: the omega table, or its image under the substitution.
+    def _lift_form(self, convention: str, pair: tuple, lift_constants) -> tuple:
+        """The pair's closed form, each output's constants at this level
+        lifted by ``lift_constants`` to (numerators, denominator)."""
+        form = []
+        for out, off, terms in closed_form(*pair, convention):
+            nums, den = lift_constants([self._level_constants[name] / d for _, (name, d) in terms])
+            form.append((out, off, den, tuple(zip((poly for poly, _ in terms), nums))))
+        return tuple(form)
 
-        The image skips zero scalars and multiplies by no unit factor of the
-        substitution: each product is a ``Fraction`` operation.
-        """
-        if self.convention == OMEGA:
-            return self._bracket_omega(a, b)
-        linear_acc: dict[Mode, Fraction] = {}
-        j2_acc: dict[int, Fraction] = {}
-        scalar = Q(0)
-        for ma, ca in substitute(a, BAR, OMEGA):
-            for mb, cb in substitute(b, BAR, OMEGA):
-                piece = self._bracket_omega(ma, mb)
-                cc = _times(ca, cb)
-                if piece.scalar:
-                    scalar += _times(cc, piece.scalar)
-                for p, coeff in piece.j2:
-                    _accumulate(j2_acc, p, _times(cc, coeff))
-                for md, coeff in piece.linear:
-                    coeff = _times(cc, coeff)
-                    for md2, c2 in substitute(md, OMEGA, BAR):
-                        _accumulate(linear_acc, md2, _times(coeff, c2))
-        return Bracket(
-            j2=tuple(sorted(((p, c) for p, c in j2_acc.items() if c), key=lambda t: t[0])),
-            linear=tuple(sorted(
-                ((md, c) for md, c in linear_acc.items() if c), key=lambda t: _mode_key(t[0])
-            )),
-            scalar=scalar,
-        )
+    # Over Q (and Q[x,y]), an output's constants share one denominator, so
+    # its value is one Fraction; the mod-p engine overrides both.
+    _lift_constants = staticmethod(_q_constants)
+
+    def _ring_value(self, total: int, den: int):
+        value = Q(total, den)
+        return value if self.state_type.ring is Fraction else self.state_type.lift(value)
+
+    def _bracket_omega(self, a: Mode, b: Mode) -> Bracket:
+        """[a, b] over Q in the omega grading: the printed table."""
+        return _evaluate(self._lift_form(OMEGA, (a[0], b[0]), _q_constants), a[1], b[1], Q)
+
+    def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:
+        """[a, b] over Q in this convention, from the pair's closed form."""
+        return _evaluate(self._lift_form(self.convention, (a[0], b[0]), _q_constants), a[1], b[1], Q)
 
     # ------------------------------------------------------------------
     # Left action and normal ordering

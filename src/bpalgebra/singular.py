@@ -86,13 +86,23 @@ class _ModPAlgebra(BPAlgebra):
     The prime is 2^30 - 35, the largest below 2^30, so a residue is a
     one-digit CPython int and a product of two is at most two digits.
 
-    ``bracket`` lifts each constant once, into this algebra's memo; one that
-    is not p-integral raises :class:`NotInvertibleModP`.  Every other step is
-    a ring operation reduced mod p by :class:`_ModPState`, so the rows it
-    builds are the reductions mod p of the rows of :class:`_ScalarAlgebra`.
+    ``bracket`` evaluates each closed form on residues: the level constants
+    of a generator pair are lifted once, on the pair's first bracket, and one
+    that is not p-integral raises :class:`NotInvertibleModP`.  Every other
+    step is a ring operation reduced mod p, there and in :class:`_ModPState`,
+    so the rows it builds are the reductions mod p of the rows of
+    :class:`_ScalarAlgebra`.
     """
 
     state_type = _ModPState
+
+    @staticmethod
+    def _lift_constants(values: list) -> tuple:
+        return [residue(v) for v in values], 1
+
+    @staticmethod
+    def _ring_value(total: int, den: int) -> int:
+        return total % _PRIME
 
 
 @lru_cache(maxsize=1)

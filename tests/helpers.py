@@ -13,11 +13,12 @@ import random
 from fractions import Fraction
 
 from bpalgebra import BPAlgebra, State
-from bpalgebra.arith import binomial
+from bpalgebra.arith import Poly1, _divisors, binomial
+from bpalgebra.classify import _singular_vector
 from bpalgebra.cli import _NEGATIVE_RATIONAL
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
-from bpalgebra.zhu import ZhuReducer, zhu_circle, zhu_star
+from bpalgebra.zhu import ZhuReducer, zero_mode_poly, zhu_circle, zhu_star
 
 GENS = (J, L, GP, GM)
 
@@ -74,6 +75,73 @@ def reference_mono_product(algebra, umono: tuple, p: int, wmono: tuple, base: st
                 total.add_scaled(reference_mono_product(algebra, rest, m + p - j, mono2, base, memo), coeff * c2)
     result = memo[key] = tuple(total.terms.items())
     return result
+
+
+def reference_rational_roots(p: Poly1):
+    """``arith.rational_roots`` as it stood before its integer root test:
+    every candidate r/s is a ``Fraction``, evaluated on the deflated
+    polynomial by Fraction Horner, in ascending order.  The reference for it."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has every root")
+    roots: dict[Fraction, int] = {}
+    a = list(p.a)
+    zero_mult = 0
+    while a and not a[0]:
+        a.pop(0)
+        zero_mult += 1
+    if zero_mult:
+        roots[Fraction(0)] = zero_mult
+    work = Poly1(a, var=p.var)
+    if work.degree() >= 1:
+        den_lcm = math.lcm(*(v.denominator for v in work.a))
+        ints = [int(v * den_lcm) for v in work.a]
+        lead, trail = ints[-1], ints[0]
+        candidates = set()
+        for r in _divisors(abs(trail)):
+            for s in _divisors(abs(lead)):
+                candidates.add(Fraction(r, s))
+                candidates.add(Fraction(-r, s))
+        for cand in sorted(candidates):
+            while not work.is_const() and work.eval(cand) == 0:
+                roots[cand] = roots.get(cand, 0) + 1
+                work, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
+                assert rem.is_zero()
+    return roots, work
+
+
+def reference_omega_bracket(algebra: BPAlgebra, a, b) -> tuple:
+    """[a, b] in the omega grading as (j2, linear, scalar) over Q, by the
+    printed table written out case by case, as ``BPAlgebra._bracket_omega``
+    encoded it before the table became data.  Linear terms with a zero
+    coefficient are dropped; the reference for that table."""
+    (ga, m), (gb, n) = a, b
+    k = algebra.k
+    if ga == J and gb == J:
+        j2, linear, scalar = (), (), algebra.heis_level * m if m + n == 0 else Fraction(0)
+    elif ga == J and gb in (GP, GM):
+        j2, linear, scalar = (), (((gb, m + n), Fraction(1 if gb == GP else -1)),), Fraction(0)
+    elif ga == L and gb == J:
+        j2, linear, scalar = (), (((J, m + n), Fraction(-n)),), Fraction(0)
+    elif ga == L and gb == L:
+        j2, linear = (), (((L, m + n), Fraction(m - n)),)
+        scalar = algebra.central_charge * (m**3 - m) / 12 if m + n == 0 else Fraction(0)
+    elif ga == L and gb in (GP, GM):
+        j2, linear, scalar = (), (((gb, m + n), Fraction(m, 2) - n + Fraction(1, 2)),), Fraction(0)
+    elif ga == GP and gb == GM:
+        j2 = ((m + n - 1, Fraction(3)),)
+        linear = (((L, m + n - 1), -(k + 3)), ((J, m + n - 1), Fraction(3, 2) * (k + 1) * (m - n)))
+        scalar = (k + 1) * (2 * k + 3) * (m - 1) * m / 2 if m + n == 1 else Fraction(0)
+    elif ga == gb:
+        j2, linear, scalar = (), (), Fraction(0)
+    else:
+        j2, linear, scalar = reference_omega_bracket(algebra, b, a)
+        return tuple((p, -c) for p, c in j2), tuple((md, -c) for md, c in linear), -scalar
+    return j2, tuple((md, c) for md, c in linear if c), scalar
+
+
+def projection_filter(k: Fraction):
+    """The singular-vector projection in the bar labels: U or V at (x, y+x/2)."""
+    return zero_mode_poly(*_singular_vector(k), BAR)
 
 
 def random_mode(rng: random.Random, lo=-3, hi=3):

@@ -23,7 +23,7 @@ from bpalgebra.arith import (
 from bpalgebra.modes import BAR, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
 
-from helpers import falling_binomial
+from helpers import falling_binomial, projection_filter, reference_rational_roots
 
 
 def test_frac_parsing():
@@ -252,13 +252,54 @@ def test_rational_roots_multiplicity_and_resubstitution():
 
 def test_rational_roots_boundary_quartic():
     """The quartic cutting out the boundary-line weights at level -5/3."""
-    from bpalgebra.classify import projection_filter
-
     filt = projection_filter(Q(-5, 3))
     quartic = filt.specialize("y", Q(-1, 9))
     roots, cof = rational_roots(quartic)
     assert set(roots) == {Q(1, 9), Q(4, 9), Q(7, 9), Q(-1, 18)}
     assert cof.is_const()
+
+
+def _random_root_polys(rng: random.Random, count: int) -> list:
+    """Polynomials with planted rational roots (repeated, zero, negative) and
+    a random cofactor, over Q with mixed denominators."""
+    polys = []
+    for _ in range(count):
+        p = Poly1([Q(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 6))])
+        for _ in range(rng.randint(0, 5)):
+            root = Q(rng.randint(-9, 9), rng.randint(1, 8))
+            p = p * Poly1([-root, 1])
+        rest = Poly1([Q(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))])
+        if not rest.is_zero():
+            p = p * rest
+        polys.append(p)
+    return polys
+
+
+def test_rational_roots_match_the_fraction_horner_reference():
+    """The integer root test finds the roots, in the order and with the
+    multiplicities and cofactor of the Fraction Horner search it replaced."""
+    rng = random.Random(27)
+    polys = _random_root_polys(rng, 300) + [projection_filter(Q(-5, 3)).specialize("y", Q(-1, 9))]
+    polys += [Poly1([0, 0, 3]), Poly1([Q(5, 7)]), Poly1([-1, 0, 0, 1]), Poly1([Q(1, 9), 0, -1])]
+    found = 0
+    for p in polys:
+        roots, cofactor = rational_roots(p)
+        want_roots, want_cofactor = reference_rational_roots(p)
+        assert list(roots.items()) == list(want_roots.items()), p
+        assert cofactor == want_cofactor and cofactor.var == want_cofactor.var, p
+        found += len(roots)
+    assert found >= 300
+
+
+def test_rational_roots_match_sympy_on_random_polynomials():
+    """An independent oracle for the integer root test: sympy's rational roots."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("x")
+    for p in _random_root_polys(random.Random(28), 120):
+        expr = sum(sympy.Rational(v.numerator, v.denominator) * t**d for d, v in enumerate(p.a))
+        roots, cofactor = rational_roots(p)
+        assert roots == _sympy_linear_roots(sympy, expr, t), p
+        assert cofactor.degree() == p.degree() - sum(roots.values())
 
 
 def test_resultant_conventions():

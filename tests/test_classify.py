@@ -9,13 +9,14 @@ from bpalgebra.classify import (
     classify_level,
     infinite_top_certificates,
     pi0_bracket_identity,
-    projection_filter,
     solve_system,
 )
 from bpalgebra.modes import BAR, GP, BPAlgebra
 from bpalgebra.tables import RATIONAL_LEVELS, golden_classify, golden_zhu, table_state
 from bpalgebra.weightspace import contragredient_weight, spectral_flow_weight
 from bpalgebra.zhu import SmithAlgebra, SmithWord, h_poly, relation_line, smith_relation
+
+from helpers import projection_filter
 
 
 def fr_pairs(pairs):

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from bpalgebra.arith import Poly2
+from bpalgebra import singular
+from bpalgebra.arith import Poly2, residue
 from bpalgebra.modes import (
     BAR,
     BPAlgebra,
@@ -30,6 +35,7 @@ from helpers import (
     falling_binomial,
     random_mode,
     reference_mono_product,
+    reference_omega_bracket,
     spectral_flow_mode,
 )
 
@@ -333,6 +339,74 @@ def test_bar_brackets_match_the_term_by_term_derivation(level):
             seen["j2"] += bool(br.j2)
             seen["scalar"] += bool(br.scalar)
     assert min(seen.values()) >= 20, seen
+
+
+_CLOSED_FORM_LEVELS = [KTEST, Q(-9, 4), Q(0), Q(random.Random(27).randint(-40, 40), 11)]
+
+
+@pytest.mark.parametrize("level", _CLOSED_FORM_LEVELS)
+def test_omega_brackets_match_the_table_written_case_by_case(level):
+    """The omega closed forms, from the table as data, equal the printed
+    relations written out case by case, for every pair with indices -6..6."""
+    alg = BPAlgebra(level, OMEGA)
+    modes = [(gen, n) for gen in (J, L, GP, GM) for n in range(-6, 7)]
+    for a in modes:
+        for b in modes:
+            br = alg._bracket_omega(a, b)
+            j2, linear, scalar = reference_omega_bracket(alg, a, b)
+            assert (br.j2, br.linear, br.scalar) == (j2, tuple(sorted(linear, key=lambda t: _mode_key(t[0]))), scalar)
+            assert br == alg._compute_bracket(a, b)
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+@pytest.mark.parametrize("level", _CLOSED_FORM_LEVELS)
+def test_brackets_agree_across_the_three_rings(level, grading):
+    """On random pairs with indices -6..6, the GF(p) engine's brackets are the
+    residues of the Q engine's, and the Q[x,y] engine's are their constant
+    lifts; the Q engine's equal the Q-valued evaluator.  Half the pairs
+    have total index 0 or 1, where the central terms live."""
+    rng = random.Random(f"{level} {grading}")
+    gens = (J, L, GP, GM)
+    scalar, modp = singular._ScalarAlgebra(level, grading), singular._ModPAlgebra(level, grading)
+    poly = BPAlgebra(level, grading)
+    seen = {"j2": 0, "linear": 0, "scalar": 0}
+    for _ in range(400):
+        m = rng.randint(-5, 6)
+        a, b = (rng.choice(gens), m), (rng.choice(gens), rng.choice([-m, 1 - m, rng.randint(-6, 6)]))
+        want = scalar.bracket(a, b)
+        assert want == scalar._compute_bracket(a, b)
+        for engine, lift, ring in ((modp, residue, int), (poly, Poly2.const, Poly2)):
+            got = engine.bracket(a, b)
+            assert got.j2 == tuple((p, lift(c)) for p, c in want.j2), (engine, a, b)
+            assert got.linear == tuple((md, lift(c)) for md, c in want.linear), (engine, a, b)
+            assert got.scalar == lift(want.scalar), (engine, a, b)
+            assert all(type(c) is ring for _, c in got.j2 + got.linear + ((None, got.scalar),))
+        seen["j2"] += bool(want.j2)
+        seen["linear"] += bool(want.linear)
+        seen["scalar"] += bool(want.scalar)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_closed_forms_are_derived_on_the_first_bracket_miss_only():
+    """Importing the CLI and constructing algebras derives no closed form; a
+    bracket miss derives its own pair's form once, for every engine."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import bpalgebra.cli\n"
+        "from bpalgebra import modes, singular\n"
+        "derived = lambda: modes.closed_form.cache_info().currsize + modes._omega_relation.cache_info().currsize\n"
+        "algebras = [modes.BPAlgebra('-5/3', g) for g in ('bar', 'omega')] + list(singular._engines(modes.Q(-5, 3), 'bar'))\n"
+        "out = [derived()]\n"
+        "for alg in algebras[:1] + algebras[2:]:\n"
+        "    alg.bracket(('L', 1), ('G-', -2))\n"
+        "    out.append(modes.closed_form.cache_info().currsize)\n"
+        "algebras[1].bracket(('L', 1), ('G-', -2))\n"
+        "out.append(modes.closed_form.cache_info().currsize)\n"
+        "print(out)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "[0, 1, 1, 1, 2]\n"), done.stderr
 
 
 def _commutator_formula_case(name):
