@@ -8,12 +8,15 @@ appears anywhere in the library.  Two small polynomial types are provided:
 * :class:`Poly1` -- univariate polynomials over Q with exact rational root
   extraction, used by the elimination machinery.
 
-The linear algebra has one elimination each.  :func:`_echelon` is the sparse
-row echelon form behind both :func:`rank_mod_p` (mod a prime) and
-:func:`kernel_basis` (over Q).  Elements of GF(p) are plain ``int``
-residues in [0, p), and :func:`residue` maps a rational to one.  The
-Sylvester resultant is a determinant over Q[t], taken by Bareiss's
-fraction-free elimination, whose divisions are exact.
+The linear algebra has one elimination.  :func:`_echelon` is the sparse row
+echelon form mod a prime behind both :func:`rank_mod_p` and
+:func:`kernel_basis`, which solves mod word-size primes, recovers the
+rational kernel by the Chinese remainder theorem and rational
+reconstruction, and certifies it exactly on the integer-scaled rows.
+Elements of GF(p) are plain ``int`` residues in [0, p), and :func:`residue`
+maps a rational to one.  The Sylvester resultant is a determinant over
+Q[t], taken by Bareiss's fraction-free elimination, whose divisions are
+exact.
 """
 
 from __future__ import annotations
@@ -554,20 +557,21 @@ def residue(value) -> int:
     return value.numerator * pow(den, -1, _PRIME) % _PRIME
 
 
-def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None, leftmost: bool = True) -> dict[int, dict]:
-    """Row echelon form of sparse {column: value} rows, which it consumes.
+def _echelon(vectors: Iterable[dict], ncols: int, p: int, leftmost: bool = True) -> dict[int, dict]:
+    """Row echelon form mod ``p`` of sparse {column: residue} rows, which it
+    consumes.
 
-    Over Q, or mod ``p`` when it is given.  Returns {leading column: row}
-    with every row scaled to a leading 1.  The rows are eliminated sparsest
-    first, which keeps the fill-in down, and the scan stops once every
-    column has a pivot.
+    Returns {leading column: row} with every row scaled to a leading 1.  The
+    rows are eliminated sparsest first, which keeps the fill-in down, and the
+    scan stops once every column has a pivot.
 
     Each row clears the pivot columns it holds in the order the pivots were
     made, through a heap: a pivot row holds no lead of an earlier pivot, so
     clearing one brings in only later ones.  What is left leads with its
     leftmost column, or, with ``leftmost`` false, with its column that has
     the fewest nonzeros in the matrix.  The rank does not depend on that
-    choice; the leftmost leads are those of the reduced row echelon form.
+    choice; the leftmost leads are those of the reduced row echelon form,
+    and every row then lies on or right of its lead.
     """
     vectors = sorted(vectors, key=len)
     if leftmost:
@@ -589,11 +593,11 @@ def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None, leftmost
             for c, v in row.items():
                 old = vec.get(c)
                 if old is None:  # -factor * v, never 0 in a field
-                    vec[c] = (-factor * v) % p if p else -factor * v
+                    vec[c] = -factor * v % p
                     if c in made:
                         heappush(heap, made[c])
                     continue
-                value = (old - factor * v) % p if p else old - factor * v
+                value = (old - factor * v) % p
                 if value:
                     vec[c] = value
                 else:
@@ -601,7 +605,7 @@ def _echelon(vectors: Iterable[dict], ncols: int, p: int | None = None, leftmost
         if vec:
             lead = choose(vec)
             inv = pow(vec[lead], -1, p)
-            row = {c: v * inv % p for c, v in vec.items()} if p else {c: v * inv for c, v in vec.items()}
+            row = {c: v * inv % p for c, v in vec.items()}
             echelon[lead] = row
             made[lead] = len(pivots)
             pivots.append((lead, row))
@@ -619,45 +623,137 @@ def rank_mod_p(vectors: Iterable[dict[int, int]], ncols: int) -> int:
     return len(_echelon(vectors, ncols, _PRIME, leftmost=False))
 
 
-def _subtract(vec: dict, factor, row: dict) -> None:
-    """``vec -= factor * row`` in place, on sparse rows over Q."""
-    for c, v in row.items():
-        # A column missing from vec gets -factor * v, never 0 in a field.
-        value = vec.get(c, 0) - factor * v
-        if value:
-            vec[c] = value
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, deterministic for n < 4,759,123,141."""
+    for q in (2, 3, 5, 7, 11, 13, 61):
+        if n % q == 0:
+            return n == q
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
         else:
-            del vec[c]
+            return False
+    return True
+
+
+def _primes() -> Iterable[int]:
+    """``_PRIME``, then each smaller prime in turn, generated as needed."""
+    return filter(_is_prime, range(_PRIME, 1, -1))
+
+
+def _kernel_mod_p(echelon: dict[int, dict], free: list[int], ncols: int, p: int) -> list[list[int]]:
+    """The kernel mod ``p`` of a leftmost-lead echelon, one vector per free
+    column: 1 there, 0 on every other free column.
+
+    Back-substitution, last lead first: a row lies on or right of its lead,
+    and every column right of it is already known.  The row's own lead
+    meets the 0 still stored there, so the whole row can be summed.
+    """
+    leads = sorted(echelon, reverse=True)
+    vectors = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for lead in leads:
+            if lead < fc:  # a row leading right of fc meets zeros only
+                vec[lead] = -sum(v * vec[c] for c, v in echelon[lead].items()) % p
+        vectors.append(vec)
+    return vectors
+
+
+def _reconstruct(u: int, m: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: the (a, b) with a = u b mod ``m``,
+    |a| and 0 < b at most sqrt(m/2), and gcd(a, b) = 1; None if there is none.
+
+    When a rational a/b within that bound has image u, it is the one found.
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _certified(scaled: list[dict], images: list[list[int]], modulus: int) -> list[list[Fraction]] | None:
+    """The rational vectors with the given images mod ``modulus``, if every
+    entry reconstructs and the integer-scaled rows kill every vector scaled
+    to integers exactly; else None."""
+    basis = []
+    for image in images:
+        pairs = [_reconstruct(u, modulus) for u in image]
+        if None in pairs:
+            return None
+        den = math.lcm(*(b for _, b in pairs))
+        ints = [a * (den // b) for a, b in pairs]
+        if any(sum(v * ints[c] for c, v in row.items()) for row in scaled):
+            return None
+        basis.append([Fraction(a, b) for a, b in pairs])
+    return basis
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of the given matrix over Q.
 
-    Rows are lists of length ``ncols``.  Returns a list of kernel vectors
-    (each of length ``ncols``), deterministically ordered by free column:
-    the vector of a free column of the reduced row echelon form is 1 there
-    and 0 on every other free column.
+    Rows are lists of length ``ncols``, of ints or Fractions.  Returns the
+    reduced row echelon basis, ordered by free column (the vector of a free
+    column is 1 there and 0 on every other free column), every entry a
+    Fraction.  It depends on the row space only, not on the order of rows.
 
-    The elimination is exact and sparse: :func:`_echelon`, then
-    back-substitution clears each pivot column from the other pivot rows.
-    The result is the reduced row echelon form, which depends on the row
-    space only, so the order of the rows does not change the basis.
+    Each row is scaled to integers by the lcm of its denominators and solved
+    mod ``_PRIME``, then mod each smaller prime in turn (:func:`_primes`),
+    skipping a prime that divides a row's scale: :func:`_echelon` with
+    leftmost leads, and back-substitution to one vector per free column.
+    Full rank mod p proves full rank over Q.  Rank mod p is at most the rank
+    over Q in every leading block of columns, so the exact free set is the
+    smallest and, among sets of its size, the lexicographically latest: the
+    primes with the best free set so far are combined by the Chinese
+    remainder theorem, the others dropped.  Each entry is then recovered by
+    rational reconstruction, and certified: every scaled row times every
+    vector scaled to integers is 0.  The d vectors then lie in the kernel
+    over Q, of dimension at most d, the dimension mod p, and each is 1 on
+    its free column and supported left of it, so they are its reduced row
+    echelon basis.  Otherwise the next prime is added; the Hadamard bound on
+    the entries ensures that this ends.
     """
-    echelon = _echelon(({c: v for c, v in enumerate(row) if v} for row in rows), ncols)
-    if len(echelon) == ncols:
-        return []
-    # Last pivot first: a reduced row is 0 on every other pivot column, so
-    # subtracting it brings in free columns only.
-    for lead in sorted(echelon, reverse=True):
-        row = echelon[lead]
-        for c in [c for c in row if c != lead and c in echelon]:
-            _subtract(row, row[c], echelon[c])
-    zero = Fraction(0)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in echelon):
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
-        for pc, row in echelon.items():
-            vec[pc] = -row.get(fc, zero)
-        basis.append(vec)
-    return basis
+    dens, scaled = [], []  # each row's scale, and the row times it
+    for row in rows:
+        entries = [(c, v) for c, v in enumerate(row) if v]
+        den = math.lcm(*(v.denominator for _, v in entries))
+        dens.append(den)
+        scaled.append({c: v.numerator * (den // v.denominator) for c, v in entries})
+    best = None  # (rank, free columns) of the primes kept
+    for p in _primes():
+        if any(den % p == 0 for den in dens):
+            continue
+        echelon = _echelon(({c: r for c, v in row.items() if (r := v % p)} for row in scaled), ncols, p)
+        if len(echelon) == ncols:
+            return []
+        profile = (len(echelon), [c for c in range(ncols) if c not in echelon])
+        if best is not None and profile < best:
+            continue
+        images = _kernel_mod_p(echelon, profile[1], ncols, p)
+        if profile == best:
+            inv = pow(modulus, -1, p)
+            images = [[x + modulus * ((r - x) * inv % p) for x, r in zip(old, new)]
+                      for old, new in zip(combined, images)]
+            modulus *= p
+        else:
+            best, modulus = profile, p
+        combined = images
+        basis = _certified(scaled, combined, modulus)
+        if basis is not None:
+            return basis
+    raise ArithmeticError("no certified kernel from the primes below 2^30")

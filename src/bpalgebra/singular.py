@@ -11,9 +11,11 @@ the corresponding mode is genuinely positive and belongs to the default set.
 An empty kernel is certified from the rows built mod p = 1,073,741,789
 (2^30 - 35), the largest prime below 2^30, so that every residue is a
 one-digit CPython int.  Full column rank mod p proves full column rank over
-Q, and the exact path over Q runs only when that certificate fails, or when
-a structure constant has no image mod p.  Both engines and their memos are
-reused by every call at one (level, grading); only the latest pair is kept.
+Q.  Only when that certificate fails, or when a structure constant has no
+image mod p, are the rows built over Q; ``kernel_basis`` solves them mod
+word-size primes, reconstructs the rational kernel and certifies it over
+the integers.  Both engines and their memos are reused by every call at one
+(level, grading); only the latest pair is kept.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import argparse
 import math
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from bpalgebra import BPAlgebra, State
 from bpalgebra.arith import Poly1, _divisors, binomial
@@ -75,6 +76,65 @@ def reference_mono_product(algebra, umono: tuple, p: int, wmono: tuple, base: st
                 total.add_scaled(reference_mono_product(algebra, rest, m + p - j, mono2, base, memo), coeff * c2)
     result = memo[key] = tuple(total.terms.items())
     return result
+
+
+def _subtract(vec: dict, factor, row: dict) -> None:
+    """``vec -= factor * row`` in place, on sparse rows over Q."""
+    for c, v in row.items():
+        # A column missing from vec gets -factor * v, never 0 in a field.
+        value = vec.get(c, 0) - factor * v
+        if value:
+            vec[c] = value
+        else:
+            del vec[c]
+
+
+def reference_kernel_basis(rows: list, ncols: int) -> list:
+    """The kernel by sparse elimination over Fraction, the reference for
+    ``kernel_basis``'s modular solve: leftmost leads, then back-substitution
+    to the reduced row echelon form; one vector per free column, 1 there and
+    0 on every other free column.  Rows of ints are read as Fractions.
+
+    Each row clears the pivots it holds in the order they were made, through
+    a heap: a pivot row holds no lead of an earlier pivot.
+    """
+    vectors = sorted(({c: Fraction(v) for c, v in enumerate(row) if v} for row in rows), key=len)
+    echelon, made, pivots = {}, {}, []
+    for vec in vectors:
+        heap = [made[c] for c in vec if c in made]
+        heapify(heap)
+        while heap:
+            lead, row = pivots[heappop(heap)]
+            factor = vec.get(lead)
+            if factor is None:  # cancelled, or pushed twice
+                continue
+            for c in row:
+                if c not in vec and c in made:
+                    heappush(heap, made[c])
+            _subtract(vec, factor, row)
+        if vec:
+            lead = min(vec)
+            inv = 1 / vec[lead]
+            row = {c: v * inv for c, v in vec.items()}
+            echelon[lead] = row
+            made[lead] = len(pivots)
+            pivots.append((lead, row))
+            if len(echelon) == ncols:
+                break
+    # Last pivot first: a reduced row is 0 on every other pivot column, so
+    # subtracting it brings in free columns only.
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        for c in [c for c in row if c != lead and c in echelon]:
+            _subtract(row, row[c], echelon[c])
+    basis = []
+    for fc in (c for c in range(ncols) if c not in echelon):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for pc, row in echelon.items():
+            vec[pc] = -row.get(fc, Fraction(0))
+        basis.append(vec)
+    return basis
 
 
 def reference_rational_roots(p: Poly1):

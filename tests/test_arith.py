@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from bpalgebra import singular
+from bpalgebra import arith, singular
 from bpalgebra.arith import (
     _PRIME,
     _echelon,
+    _is_prime,
+    _primes,
     NotInvertibleModP,
     POLY_X,
     POLY_Y,
@@ -23,7 +27,7 @@ from bpalgebra.arith import (
 from bpalgebra.modes import BAR, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
 
-from helpers import falling_binomial, projection_filter, reference_rational_roots
+from helpers import falling_binomial, projection_filter, reference_kernel_basis, reference_rational_roots
 
 
 def test_frac_parsing():
@@ -416,7 +420,8 @@ def test_kernel_basis_matches_reference_on_random_matrices():
     cases += [_random_sparse_matrix(rng) for _ in range(100 - len(cases))]
     shapes = {"tall": 0, "wide": 0}
     for rows, ncols in cases:
-        assert kernel_basis(rows, ncols) == _reference_kernel(rows, ncols), (rows, ncols)
+        want = _reference_kernel(rows, ncols)
+        assert kernel_basis(rows, ncols) == want == reference_kernel_basis(rows, ncols), (rows, ncols)
         if rows and ncols:
             shapes["tall" if len(rows) > ncols else "wide"] += 1
     assert min(shapes.values()) >= 20, shapes
@@ -467,6 +472,129 @@ def test_kernel_basis_matches_sympy_nullspace():
         matrix = sympy.Matrix(len(rows), ncols, entries)
         want = [[Q(int(v.p), int(v.q)) for v in vec] for vec in matrix.nullspace()]
         assert kernel_basis(rows, ncols) == want, (rows, ncols)
+
+
+def test_kernel_basis_returns_fractions_for_int_rows():
+    """Rows of ints, or of ints and Fractions, give Fraction entries only,
+    equal to the Fraction elimination's kernel of the rows read as Fractions."""
+    cases = [
+        ([[3, 1, 2]], 3),
+        ([[1, 2, 3], [2, 4, 6]], 3),
+        ([[2, 0, -4, 1], [0, 3, 1, 0]], 4),
+        ([[Q(1, 2), 3, 0], [1, Q(-2, 3), 5]], 3),
+        ([[0, Q(0), 7]], 3),
+        ([[5]], 1),
+        ([[0]], 1),
+    ]
+    for rows, ncols in cases:
+        basis = kernel_basis(rows, ncols)
+        assert all(type(v) is Q for vec in basis for v in vec), (rows, basis)
+        assert basis == reference_kernel_basis([[Q(v) for v in row] for row in rows], ncols), rows
+    assert kernel_basis([[3, 1, 2]], 3) == [[Q(-1, 3), Q(1), Q(0)], [Q(-2, 3), Q(0), Q(1)]]
+
+
+def test_primes_descend_from_the_certificate_prime():
+    """The kernel's primes: _PRIME, then every smaller prime in turn."""
+    def trial_division(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(2000) if _is_prime(n)] == [n for n in range(2000) if trial_division(n)]
+    first = list(itertools.islice(_primes(), 12))
+    assert first[0] == _PRIME == 2**30 - 35
+    assert first == [n for n in range(_PRIME, _PRIME - 1000, -1) if trial_division(n)][:12]
+    # Strong pseudoprimes to some of the bases 2, 7 and 61.
+    assert not any(_is_prime(n) for n in (2047, 3277, 4033, 4681, 8321, 25326001, 3215031751))
+
+
+def _spy(monkeypatch, limit=8):
+    """The primes kernel_basis draws, and the moduli it eliminates mod, with
+    at most ``limit`` primes drawn: a kernel that does not certify then
+    raises instead of running on."""
+    drawn, eliminated = [], []
+    primes, echelon = arith._primes, arith._echelon
+
+    def limited():
+        for p in itertools.islice(primes(), limit):
+            drawn.append(p)
+            yield p
+
+    def recording(vectors, ncols, p, leftmost=True):
+        eliminated.append(p)
+        return echelon(vectors, ncols, p, leftmost)
+
+    monkeypatch.setattr(arith, "_primes", limited)
+    monkeypatch.setattr(arith, "_echelon", recording)
+    return drawn, eliminated
+
+
+def test_kernel_needs_the_chinese_remainder_theorem_over_several_primes(monkeypatch):
+    """Entries of about 28 and 40 bits reconstruct from two and three primes."""
+    drawn, eliminated = _spy(monkeypatch)
+    a, b = 3**17, 2**28 + 1
+    assert kernel_basis([[a, b]], 2) == [[Q(-b, a), Q(1)]]
+    assert len(drawn) == 2 and eliminated == drawn
+    drawn.clear()
+    eliminated.clear()
+    a, b = 3**25, -(2**40 + 15)
+    rows = [[Q(a, 7), 0, b], [0, 1, Q(1, 2)]]
+    assert kernel_basis(rows, 3) == [[Q(-7 * b, a), Q(-1, 2), Q(1)]]
+    assert len(drawn) == 3 and eliminated == drawn
+
+
+def test_kernel_skips_a_prime_that_divides_a_denominator(monkeypatch):
+    """With 1/p in a row, p = _PRIME is never eliminated mod; the answer,
+    -2p, needs two more primes."""
+    drawn, eliminated = _spy(monkeypatch)
+    assert kernel_basis([[Q(1, _PRIME), Q(2)]], 2) == [[Q(-2 * _PRIME), Q(1)]]
+    assert drawn[0] == _PRIME and _PRIME not in eliminated
+    assert eliminated == drawn[1:] and len(eliminated) == 3
+
+
+def test_kernel_drops_a_prime_where_the_rank_falls(monkeypatch):
+    """A prime where the rank drops has more free columns; it is dropped,
+    whether it comes first or between the primes that are combined."""
+    drawn, eliminated = _spy(monkeypatch)
+    rows = [[1, 1, 0], [1, 1 + _PRIME, 0]]  # rank 1 mod _PRIME, 2 over Q
+    assert kernel_basis(rows, 3) == [[Q(0), Q(0), Q(1)]]
+    assert eliminated == drawn[:2]
+    # The free column moves mod _PRIME, at the same rank.
+    drawn.clear()
+    eliminated.clear()
+    assert kernel_basis([[_PRIME, 1]], 2) == [[Q(-1, _PRIME), Q(1)]]
+    assert eliminated[0] == _PRIME and len(eliminated) == 4
+    # The second prime loses rank; the other three give 40-bit entries.
+    drawn.clear()
+    eliminated.clear()
+    second = list(itertools.islice(_primes(), 2))[1]
+    a, b = 3**25, 2**40 + 15
+    rows = [[1, 1, 0, 0], [1, 1 + second, 0, 0], [0, 0, a, b]]
+    assert kernel_basis(rows, 4) == [[Q(0), Q(0), Q(-b, a), Q(1)]]
+    assert eliminated == drawn == list(itertools.islice(_primes(), 4))
+
+
+def test_kernel_certificate_rejects_a_wrong_reconstruction(monkeypatch):
+    """An entry a/b + p has the image of a/b mod p = _PRIME: one prime
+    reconstructs a/b, and only the certificate over Z rejects it."""
+    drawn, eliminated = _spy(monkeypatch)
+    x, y = Q(1, 2) + _PRIME, Q(-3, 7) + _PRIME
+    assert kernel_basis([[1, 0, -x], [0, 1, -y]], 3) == [[x, y, Q(1)]]
+    assert len(drawn) == 3
+    # From _PRIME alone the reconstruction is (1/2, -3/7, 1).
+    assert [arith._reconstruct(arith.residue(v), _PRIME) for v in (x, y)] == [(1, 2), (-3, 7)]
+
+
+def test_kernel_basis_matches_the_reference_at_a_three_prime_frontier(monkeypatch):
+    """The rank-deficient system at k = 5/2, bar weight 9, charge 0: 279
+    columns, entries of about 34 bits, reconstructed from three primes."""
+    monkeypatch.setenv("BPALG_WEIGHT_BOUND", "9")
+    algebra = singular._ScalarAlgebra(Q(5, 2), BAR)
+    monomials = enumerate_basis(algebra, VAC, 9, 0).monomials
+    rows = singular.annihilator_rows(algebra, monomials, singular.AnnihilatorSet.default(BAR))
+    dense = [[row.get(c, Q(0)) for c in range(len(monomials))] for row in rows]
+    drawn, _ = _spy(monkeypatch)
+    basis = kernel_basis(dense, len(monomials))
+    assert len(monomials) == 279 and len(basis) == 1 and len(drawn) == 3
+    assert basis == reference_kernel_basis(dense, len(monomials))
 
 
 def test_rank_mod_p_matches_the_exact_rank():

@@ -18,7 +18,7 @@ from bpalgebra.singular import (
 from bpalgebra.tables import omega3, omega4, omega4_bar
 from bpalgebra.weightspace import enumerate_basis
 
-from helpers import bracket_by_definition
+from helpers import bracket_by_definition, reference_kernel_basis
 
 
 def test_weight4_kernel_matches_table():
@@ -249,6 +249,24 @@ def test_level_without_an_image_mod_p_falls_back_to_the_exact_kernel(grading, mo
                 for vec in kernel]
         assert sol.space_dimension == len(monomials)
         assert [{m: c.const_value() for m, c in v.terms.items()} for v in sol.vectors] == [w.terms for w in want]
+
+
+@pytest.mark.parametrize("grading", [BAR, OMEGA])
+@pytest.mark.parametrize("level, weight", [(Q(-9, 4), 3), (Q(-1, 2), 3), (Q(-5, 3), 4), (Q(0), 4), (Q(-12, 5), 4)])
+def test_find_singular_matches_the_fraction_elimination(level, weight, grading, monkeypatch):
+    """find_singular's kernel, from primes and reconstruction, equals the
+    kernel of the sparse elimination over Fraction it replaced, vector for
+    vector after the monic normalization."""
+    calls = _count_kernel_calls(monkeypatch)
+    sol = find_singular(level, weight, 0, grading)
+    scalar = singular._ScalarAlgebra(level, grading)
+    monomials = enumerate_basis(scalar, VAC, weight, 0).monomials
+    rows = singular.annihilator_rows(scalar, monomials, AnnihilatorSet.default(grading))
+    kernel = reference_kernel_basis(_dense(rows, len(monomials)), len(monomials))
+    want = [singular.normalize_monic(ScalarState(terms={m: c for m, c in zip(monomials, vec) if c}))
+            for vec in kernel]
+    assert calls == [len(monomials)] and sol.dimension == len(want) == 1
+    assert [{m: c.const_value() for m, c in v.terms.items()} for v in sol.vectors] == [w.terms for w in want]
 
 
 def test_scalar_engine_keeps_its_ring():
