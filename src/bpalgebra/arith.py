@@ -1,10 +1,15 @@
 """Exact scalar and polynomial arithmetic.
 
-Everything downstream is built on ``fractions.Fraction``: no floating point
-appears anywhere in the library.  Two small polynomial types are provided:
+Every scalar is exact, an ``int`` or a ``fractions.Fraction``: no floating
+point appears anywhere in the library.  Two small polynomial types are
+provided:
 
 * :class:`Poly2` -- sparse polynomials in Q[x, y], used for highest-weight
-  parameters and Zhu-algebra coefficients.
+  parameters and Zhu-algebra coefficients.  Inside, a Poly2 is integers:
+  numerators over one common denominator, so its arithmetic makes no
+  Fraction; coefficients become Fractions only at its boundary (display,
+  JSON, :meth:`Poly2.const_value`, :meth:`Poly2.eval` and the views as
+  :class:`Poly1`).
 * :class:`Poly1` -- univariate polynomials over Q with exact rational root
   extraction, used by the elimination machinery.
 
@@ -75,61 +80,80 @@ def join_signed(parts: list) -> str:
 # ---------------------------------------------------------------------------
 
 class Poly2:
-    """Sparse exact polynomial in Q[x, y].
+    """Sparse exact polynomial in Q[x, y], held fraction-free.
 
-    Stored as {(i, j): coefficient} with no zero coefficients.  Instances are
-    treated as immutable values; all operations return new objects, and no
-    result shares an operand's dict, so a memo table holding a Poly2 cannot
-    be changed through a result.  A product of nonzero rationals is nonzero,
-    so the ring operations store a new key's value as it is, add only on a
-    collision and drop a sum that cancels.
+    Stored as integer numerators {(i, j): n} over one positive integer
+    denominator, in canonical form: no numerator is 0, the gcd of the
+    denominator and every numerator is 1, and the zero polynomial has
+    denominator 1.  Equal polynomials therefore have equal forms.  The ring
+    operations multiply and add ints and divide each result once by a gcd;
+    a coefficient becomes a Fraction only where it leaves the type.
+    Instances are treated as immutable values; all operations return new
+    objects, and no result shares an operand's dict, so a memo table holding
+    a Poly2 cannot be changed through a result.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for key, val in coeffs.items():
-                val = frac(val) if not isinstance(val, Fraction) else val
-                if val:
-                    c[(int(key[0]), int(key[1]))] = val
-        self.c = c
+        """The polynomial with coefficients {(i, j): value}, each an int, a
+        Fraction or a string such as "-5/3"."""
+        vals = [(key, frac(val)) for key, val in (coeffs or {}).items()]
+        den = math.lcm(*(val.denominator for _, val in vals))
+        canon = _canonical({(int(key[0]), int(key[1])): val.numerator * (den // val.denominator)
+                            for key, val in vals if val}, den)
+        self._num, self._den = canon._num, canon._den
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def const(value) -> "Poly2":
-        value = frac(value)
-        return _poly2({(0, 0): value} if value else {})
+    def const(value, den: int = 1) -> "Poly2":
+        """The constant value / den: ``value`` an int, a Fraction or a string
+        such as "-5/3", ``den`` a positive int."""
+        if type(value) is not int:
+            value = frac(value)
+            value, den = value.numerator, value.denominator * den
+        return _canonical({(0, 0): value} if value else {}, den)
 
     @staticmethod
     def x() -> "Poly2":
-        return Poly2({(1, 0): Fraction(1)})
+        return Poly2({(1, 0): 1})
 
     @staticmethod
     def y() -> "Poly2":
-        return Poly2({(0, 1): Fraction(1)})
+        return Poly2({(0, 1): 1})
+
+    def numerators(self) -> tuple[dict, int]:
+        """The integer numerators {(i, j): n} (a copy) and their common
+        positive denominator, in canonical form."""
+        return dict(self._num), self._den
 
     # -- ring structure ----------------------------------------------------
     def __add__(self, other):
         other = _as_poly2(other)
-        c = dict(self.c)
-        for key, val in other.c.items():
+        a, da, db = self._num, self._den, other._den
+        if da == db:
+            den, c, fb = da, dict(a), 1
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            c = {key: val * fa for key, val in a.items()}
+        for key, val in other._num.items():
+            val *= fb
             prev = c.get(key)
             if prev is None:
                 c[key] = val
             else:
-                val = prev + val
+                val += prev
                 if val:
                     c[key] = val
                 else:
                     del c[key]
-        return _poly2(c)
+        return _canonical(c, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly2({key: -val for key, val in self.c.items()})
+        return _canonical({key: -val for key, val in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-_as_poly2(other))
@@ -138,28 +162,18 @@ class Poly2:
         return _as_poly2(other) + (-self)
 
     def __mul__(self, other):
-        a, b = self.c, _as_poly2(other).c
+        other = _as_poly2(other)
+        a, b = self._num, other._num
         if len(a) == 1 and (0, 0) in a:
             a, b = b, a
         if len(b) == 1 and (0, 0) in b:
             # A constant factor, most often 1, needs no key arithmetic: it
-            # scales the other operand's coefficients.
+            # scales the other operand's numerators.
             v = b[(0, 0)]
-            return _poly2(dict(a) if v == 1 else {key: val * v for key, val in a.items()})
-        c = {}
-        for (i1, j1), v1 in a.items():
-            for (i2, j2), v2 in b.items():
-                key = (i1 + i2, j1 + j2)
-                prev = c.get(key)
-                if prev is None:
-                    c[key] = v1 * v2
-                else:
-                    val = prev + v1 * v2
-                    if val:
-                        c[key] = val
-                    else:
-                        del c[key]
-        return _poly2(c)
+            c = dict(a) if v == 1 else {key: val * v for key, val in a.items()}
+        else:
+            c = _product(a, b)
+        return _canonical(c, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -176,89 +190,102 @@ class Poly2:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if not isinstance(other, Poly2):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly2.const(other)
-        return isinstance(other, Poly2) and self.c == other.c
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        # A constant hashes as its value, since it compares equal to it.
+        if self.is_const():
+            return hash(self.const_value())
+        return hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self._num)
 
     # -- queries -----------------------------------------------------------
     def is_const(self) -> bool:
-        return not self.c or self.c.keys() == {(0, 0)}
+        return not self._num or self._num.keys() == {(0, 0)}
 
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.c.get((0, 0), Fraction(0))
+        return Fraction(self._num.get((0, 0), 0), self._den)
 
     def degree(self) -> int:
-        return max((i + j for (i, j) in self.c), default=0)
+        return max((i + j for (i, j) in self._num), default=0)
 
     def degree_in(self, var: str) -> int:
         pos = 0 if var == "x" else 1
-        return max((key[pos] for key in self.c), default=0)
+        return max((key[pos] for key in self._num), default=0)
 
     def coeff_of(self, var: str, power: int) -> "Poly2":
         """Coefficient of var**power, as a polynomial in the other variable."""
         pos = 0 if var == "x" else 1
-        out = Poly2()
-        c = {}
-        for key, val in self.c.items():
-            if key[pos] == power:
-                rest = (0, key[1]) if pos == 0 else (key[0], 0)
-                c[rest] = val
-        out.c = c
-        return out
+        return _canonical({((0, key[1]) if pos == 0 else (key[0], 0)): val
+                           for key, val in self._num.items() if key[pos] == power}, self._den)
 
     def eval(self, xval, yval) -> Fraction:
-        xval, yval = frac(xval), frac(yval)
-        total = Fraction(0)
-        for (i, j), val in self.c.items():
-            total += val * xval**i * yval**j
-        return total
+        """The value at (xval, yval): one integer sum over the common
+        denominator of every term, made a Fraction once."""
+        xs, xden = _scaled_powers(frac(xval), self.degree_in("x"))
+        ys, yden = _scaled_powers(frac(yval), self.degree_in("y"))
+        total = sum(val * xs[i] * ys[j] for (i, j), val in self._num.items())
+        return Fraction(total, self._den * xden * yden)
 
     def subst(self, px: "Poly2", py: "Poly2") -> "Poly2":
-        """Substitute x -> px, y -> py; each power of px and py is built once."""
-        xpow, ypow = [Poly2.const(1)], [Poly2.const(1)]
-        for pows, base, deg in ((xpow, px, self.degree_in("x")), (ypow, py, self.degree_in("y"))):
+        """Substitute x -> px, y -> py over the integers.
+
+        With px = P / dp, py = Q / dq and degrees dx, dy in x, y, the result
+        is sum n_ij P^i dp^(dx-i) Q^j dq^(dy-j) over den dp^dx dq^dy; each
+        power of P and Q is built once.
+        """
+        px, py = _as_poly2(px), _as_poly2(py)
+        dx, dy, dp, dq = self.degree_in("x"), self.degree_in("y"), px._den, py._den
+        xpow, ypow = [{(0, 0): 1}], [{(0, 0): 1}]
+        for pows, base, deg in ((xpow, px, dx), (ypow, py, dy)):
             for _ in range(deg):
-                pows.append(pows[-1] * base)
-        out = Poly2()
-        for (i, j), val in self.c.items():
-            out = out + xpow[i] * ypow[j] * val
-        return out
+                pows.append(_product(pows[-1], base._num))
+        c: dict = {}
+        for (i, j), val in self._num.items():
+            scale = val * dp ** (dx - i) * dq ** (dy - j)
+            for key, v in _product(xpow[i], ypow[j]).items():
+                c[key] = c.get(key, 0) + v * scale
+        return _canonical({key: val for key, val in c.items() if val}, self._den * dp**dx * dq**dy)
 
     def specialize(self, var: str, value) -> "Poly1":
         """Set ``var`` to ``value``; the result is univariate in the other variable."""
         pos = 0 if var == "x" else 1
-        value = frac(value)
-        coeffs: dict[int, Fraction] = {}
-        for key, val in self.c.items():
+        pows, vden = _scaled_powers(frac(value), self.degree_in(var))
+        sums: dict[int, int] = {}
+        for key, val in self._num.items():
             d = key[1 - pos]
-            coeffs[d] = coeffs.get(d, Fraction(0)) + val * value ** key[pos]
-        deg = max(coeffs, default=0)
-        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var="y" if pos == 0 else "x")
+            sums[d] = sums.get(d, 0) + val * pows[key[pos]]
+        den = self._den * vden
+        deg = max(sums, default=0)
+        return Poly1([Fraction(sums.get(d, 0), den) for d in range(deg + 1)], var="y" if pos == 0 else "x")
 
     def as_poly1_in(self, var: str) -> "Poly1":
         """View as univariate in ``var``; the other variable must be absent."""
         pos = 0 if var == "x" else 1
         other = 1 - pos
         coeffs = {}
-        for key, val in self.c.items():
+        for key, val in self._num.items():
             if key[other]:
                 raise ValueError(f"{self} is not univariate in {var}")
             coeffs[key[pos]] = val
         deg = max(coeffs, default=0)
-        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var=var)
+        return Poly1([Fraction(coeffs.get(d, 0), self._den) for d in range(deg + 1)], var=var)
 
     # -- display / serialization -------------------------------------------
     def terms_sorted(self):
-        """Terms in graded-lex order with x > y (deterministic display)."""
-        return sorted(self.c.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
+        """(key, Fraction) terms in graded-lex order with x > y (deterministic
+        display)."""
+        den = self._den
+        return sorted(((key, Fraction(val, den)) for key, val in self._num.items()),
+                      key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
 
     def __str__(self):
         parts = []
@@ -287,10 +314,17 @@ class Poly2:
         return Poly2({(int(i), int(j)): frac(val) for i, j, val in data})
 
 
-def _poly2(c: dict) -> Poly2:
-    """A Poly2 on ``c``, which must hold no zero coefficient; ``c`` is not copied."""
+def _canonical(num: dict, den: int) -> Poly2:
+    """The Poly2 num / den, divided through by the gcd of ``den`` and every
+    numerator; ``num`` must hold no zero and is not copied, ``den`` must be
+    positive."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {key: val // g for key, val in num.items()}
+            den //= g
     out = Poly2.__new__(Poly2)
-    out.c = c
+    out._num, out._den = num, den
     return out
 
 
@@ -298,6 +332,34 @@ def _as_poly2(value) -> Poly2:
     if isinstance(value, Poly2):
         return value
     return Poly2.const(value)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two integer numerator dicts, with no zero entry."""
+    c = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            prev = c.get(key)
+            if prev is None:
+                c[key] = v1 * v2
+            else:
+                val = prev + v1 * v2
+                if val:
+                    c[key] = val
+                else:
+                    del c[key]
+    return c
+
+
+def _scaled_powers(value: Fraction, deg: int) -> tuple[list, int]:
+    """[a^i b^(deg - i) for i = 0..deg] and b^deg, for value = a / b."""
+    a, b = value.numerator, value.denominator
+    apow, bpow = [1], [1]
+    for _ in range(deg):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    return [apow[i] * bpow[deg - i] for i in range(deg + 1)], bpow[deg]
 
 
 POLY_X = Poly2.x()

@@ -208,8 +208,8 @@ def closed_form(ga: str, gb: str, convention: str) -> tuple:
         terms = []
         for const, poly in group.items():
             if poly:
-                den = math.lcm(*(c.denominator for c in poly.c.values()))
-                terms.append((tuple((int(c * den), i, j) for (i, j), c in poly.c.items()), (const, den)))
+                num, den = poly.numerators()
+                terms.append((tuple((c, i, j) for (i, j), c in num.items()), (const, den)))
         if terms:
             form.append((out, off, tuple(terms)))
     return tuple(form)
@@ -658,12 +658,12 @@ class BPAlgebra(ModeAlgebra):
         return tuple(form)
 
     # Over Q (and Q[x,y]), an output's constants share one denominator, so
-    # its value is one Fraction; the mod-p engine overrides both.
+    # its value is total / den, lifted straight into the state ring; the
+    # mod-p engine overrides both.
     _lift_constants = staticmethod(_q_constants)
 
     def _ring_value(self, total: int, den: int):
-        value = Q(total, den)
-        return value if self.state_type.ring is Fraction else self.state_type.lift(value)
+        return self.state_type.lift(total, den)
 
     def _bracket_omega(self, a: Mode, b: Mode) -> Bracket:
         """[a, b] over Q in the omega grading: the printed table."""

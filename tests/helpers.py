@@ -14,7 +14,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from bpalgebra import BPAlgebra, State
-from bpalgebra.arith import Poly1, _divisors, binomial
+from bpalgebra.arith import Poly1, _divisors, binomial, frac, join_signed
 from bpalgebra.classify import _singular_vector
 from bpalgebra.cli import _NEGATIVE_RATIONAL
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
@@ -32,6 +32,192 @@ def falling_binomial(n, j: int) -> Fraction:
     for t in range(1, j + 1):
         num /= t
     return num
+
+
+class ReferencePoly2:
+    """``arith.Poly2`` as it was before it held integer numerators: a dict
+    {(i, j): Fraction} with no zero coefficient, every operation in
+    ``Fraction`` arithmetic.  Kept as the differential reference for the
+    fraction-free type; substitutes must be ReferencePoly2s.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs=None):
+        c = {}
+        if coeffs:
+            for key, val in coeffs.items():
+                val = frac(val) if not isinstance(val, Fraction) else val
+                if val:
+                    c[(int(key[0]), int(key[1]))] = val
+        self.c = c
+
+    @staticmethod
+    def _wrap(c: dict) -> "ReferencePoly2":
+        out = ReferencePoly2.__new__(ReferencePoly2)
+        out.c = c
+        return out
+
+    @staticmethod
+    def _coerce(value) -> "ReferencePoly2":
+        return value if isinstance(value, ReferencePoly2) else ReferencePoly2.const(value)
+
+    @staticmethod
+    def const(value) -> "ReferencePoly2":
+        value = frac(value)
+        return ReferencePoly2._wrap({(0, 0): value} if value else {})
+
+    def __add__(self, other):
+        other = ReferencePoly2._coerce(other)
+        c = dict(self.c)
+        for key, val in other.c.items():
+            prev = c.get(key)
+            if prev is None:
+                c[key] = val
+            else:
+                val = prev + val
+                if val:
+                    c[key] = val
+                else:
+                    del c[key]
+        return ReferencePoly2._wrap(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferencePoly2._wrap({key: -val for key, val in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-ReferencePoly2._coerce(other))
+
+    def __rsub__(self, other):
+        return ReferencePoly2._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        a, b = self.c, ReferencePoly2._coerce(other).c
+        if len(a) == 1 and (0, 0) in a:
+            a, b = b, a
+        if len(b) == 1 and (0, 0) in b:
+            v = b[(0, 0)]
+            return ReferencePoly2._wrap(dict(a) if v == 1 else {key: val * v for key, val in a.items()})
+        c = {}
+        for (i1, j1), v1 in a.items():
+            for (i2, j2), v2 in b.items():
+                key = (i1 + i2, j1 + j2)
+                prev = c.get(key)
+                if prev is None:
+                    c[key] = v1 * v2
+                else:
+                    val = prev + v1 * v2
+                    if val:
+                        c[key] = val
+                    else:
+                        del c[key]
+        return ReferencePoly2._wrap(c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError("negative power of a polynomial")
+        out = ReferencePoly2.const(1)
+        base = self
+        while exp:
+            if exp & 1:
+                out = out * base
+            base = base * base
+            exp >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, str)):
+            other = ReferencePoly2.const(other)
+        return isinstance(other, ReferencePoly2) and self.c == other.c
+
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def is_const(self) -> bool:
+        return not self.c or self.c.keys() == {(0, 0)}
+
+    def const_value(self) -> Fraction:
+        if not self.is_const():
+            raise ValueError(f"not a constant polynomial: {self}")
+        return self.c.get((0, 0), Fraction(0))
+
+    def degree_in(self, var: str) -> int:
+        pos = 0 if var == "x" else 1
+        return max((key[pos] for key in self.c), default=0)
+
+    def coeff_of(self, var: str, power: int) -> "ReferencePoly2":
+        pos = 0 if var == "x" else 1
+        return ReferencePoly2._wrap({((0, key[1]) if pos == 0 else (key[0], 0)): val
+                                     for key, val in self.c.items() if key[pos] == power})
+
+    def eval(self, xval, yval) -> Fraction:
+        xval, yval = frac(xval), frac(yval)
+        total = Fraction(0)
+        for (i, j), val in self.c.items():
+            total += val * xval**i * yval**j
+        return total
+
+    def subst(self, px, py) -> "ReferencePoly2":
+        xpow, ypow = [ReferencePoly2.const(1)], [ReferencePoly2.const(1)]
+        for pows, base, deg in ((xpow, px, self.degree_in("x")), (ypow, py, self.degree_in("y"))):
+            for _ in range(deg):
+                pows.append(pows[-1] * base)
+        out = ReferencePoly2()
+        for (i, j), val in self.c.items():
+            out = out + xpow[i] * ypow[j] * val
+        return out
+
+    def specialize(self, var: str, value) -> Poly1:
+        pos = 0 if var == "x" else 1
+        value = frac(value)
+        coeffs: dict = {}
+        for key, val in self.c.items():
+            d = key[1 - pos]
+            coeffs[d] = coeffs.get(d, Fraction(0)) + val * value ** key[pos]
+        deg = max(coeffs, default=0)
+        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var="y" if pos == 0 else "x")
+
+    def as_poly1_in(self, var: str) -> Poly1:
+        pos = 0 if var == "x" else 1
+        coeffs = {}
+        for key, val in self.c.items():
+            if key[1 - pos]:
+                raise ValueError(f"{self} is not univariate in {var}")
+            coeffs[key[pos]] = val
+        deg = max(coeffs, default=0)
+        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var=var)
+
+    def terms_sorted(self):
+        return sorted(self.c.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
+
+    def __str__(self):
+        parts = []
+        for (i, j), val in self.terms_sorted():
+            mono = "*".join(
+                ([f"x^{i}" if i > 1 else "x"] if i else [])
+                + ([f"y^{j}" if j > 1 else "y"] if j else [])
+            )
+            if not mono:
+                parts.append(str(val))
+            elif val == 1:
+                parts.append(mono)
+            elif val == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{val}*{mono}")
+        return join_signed(parts)
+
+    __repr__ = __str__
+
+    def to_json(self):
+        return [[i, j, str(val)] for (i, j), val in self.terms_sorted()]
 
 
 def reference_mono_product(algebra, umono: tuple, p: int, wmono: tuple, base: str, memo: dict) -> tuple:

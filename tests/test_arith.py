@@ -27,7 +27,13 @@ from bpalgebra.arith import (
 from bpalgebra.modes import BAR, OMEGA, VAC
 from bpalgebra.weightspace import enumerate_basis
 
-from helpers import falling_binomial, projection_filter, reference_kernel_basis, reference_rational_roots
+from helpers import (
+    ReferencePoly2,
+    falling_binomial,
+    projection_filter,
+    reference_kernel_basis,
+    reference_rational_roots,
+)
 
 
 def test_frac_parsing():
@@ -64,7 +70,7 @@ def test_binomial_int_upper_argument_matches_the_definition():
 def _model(p):
     """A Poly2 or scalar as an independent {(i, j): Fraction} model."""
     if isinstance(p, Poly2):
-        return dict(p.c)
+        return dict(p.terms_sorted())
     return {(0, 0): Q(p)} if p else {}
 
 
@@ -91,13 +97,16 @@ def _model_pow(a, exp):
     return out
 
 
-def _poly2_operands(rng):
-    """Random polynomials, with the zero and constant cases and cancelling pairs."""
+def _poly2_operands(rng, cls=Poly2):
+    """Random polynomials, with the zero and constant cases and cancelling
+    pairs, built as ``cls``: two calls on equal seeds give the same
+    polynomials as Poly2 and as ReferencePoly2."""
     def rand_poly():
-        return Poly2({(rng.randint(0, 3), rng.randint(0, 2)): Q(rng.randint(-4, 4), rng.randint(1, 3))
-                      for _ in range(rng.randint(0, 5))})
+        return cls({(rng.randint(0, 3), rng.randint(0, 2)): Q(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 5))})
 
-    polys = [Poly2(), Poly2.const(1), Poly2.const(Q(-2, 3)), POLY_X, POLY_X - POLY_Y]
+    x, y = cls({(1, 0): 1}), cls({(0, 1): 1})
+    polys = [cls(), cls.const(1), cls.const(Q(-2, 3)), x, x - y]
     for _ in range(30):
         p = rand_poly()
         polys += [p, -p, p + rand_poly()]
@@ -105,13 +114,24 @@ def _poly2_operands(rng):
     return polys, scalars
 
 
+def _assert_canonical(p):
+    """Integer numerators, none 0, over a positive denominator coprime to
+    all of them; the zero polynomial has denominator 1."""
+    num, den = p.numerators()
+    assert type(den) is int and den > 0, (num, den)
+    assert all(type(v) is int and v for v in num.values()), (num, den)
+    assert math.gcd(den, *num.values()) == 1, (num, den)
+
+
 def _check_poly2_result(result, want, *operands):
     assert isinstance(result, Poly2)
-    assert result.c == want
-    assert all(isinstance(v, Q) and v for v in result.c.values()), result.c
+    _assert_canonical(result)
+    assert dict(result.terms_sorted()) == want
+    assert all(type(v) is Q for _, v in result.terms_sorted())
     for op in operands:
         if isinstance(op, Poly2):
-            assert result is not op and result.c is not op.c
+            # A result never shares an operand's dict: Poly2s are memo values.
+            assert result is not op and result._num is not op._num
 
 
 def test_poly2_ring_ops_match_a_dict_model():
@@ -131,10 +151,10 @@ def test_poly2_ring_ops_match_a_dict_model():
         _check_poly2_result(a * b, _model_mul(ma, mb), a, b)
         assert (_model(a), _model(b)) == snapshot  # the operands are unchanged
     for p in polys:
-        _check_poly2_result(-p, {key: -val for key, val in p.c.items()}, p)
+        _check_poly2_result(-p, {key: -val for key, val in _model(p).items()}, p)
         _check_poly2_result(p - p, {}, p)
         for exp in range(4):
-            _check_poly2_result(p**exp, _model_pow(p.c, exp), p)
+            _check_poly2_result(p**exp, _model_pow(_model(p), exp), p)
 
 
 def test_poly2_ring_ops_match_sympy():
@@ -144,7 +164,7 @@ def test_poly2_ring_ops_match_sympy():
     def to_sympy(p):
         if not isinstance(p, Poly2):
             p = Poly2.const(p)
-        return sum((sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.c.items()),
+        return sum((sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.terms_sorted()),
                    sympy.Integer(0))
 
     rng = random.Random(5)
@@ -212,10 +232,10 @@ def test_poly2_subst_matches_the_term_by_term_definition():
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(polys(4), polys(2), polys(2))
     def check(p, px, py):
-        snapshot = (dict(p.c), dict(px.c), dict(py.c))
-        want = sum((val * px**i * py**j for (i, j), val in p.c.items()), Poly2())
-        _check_poly2_result(p.subst(px, py), want.c, p, px, py)
-        assert (dict(p.c), dict(px.c), dict(py.c)) == snapshot  # the operands are unchanged
+        snapshot = (_model(p), _model(px), _model(py))
+        want = sum((val * px**i * py**j for (i, j), val in p.terms_sorted()), Poly2())
+        _check_poly2_result(p.subst(px, py), _model(want), p, px, py)
+        assert (_model(p), _model(px), _model(py)) == snapshot  # the operands are unchanged
         assert p.subst(POLY_X, POLY_Y) == p
 
     check()
@@ -224,6 +244,124 @@ def test_poly2_subst_matches_the_term_by_term_definition():
 def test_poly2_json_roundtrip():
     p = POLY_X**3 - Q(3, 2) * POLY_X * POLY_Y - Q(5, 8) * POLY_X
     assert Poly2.from_json(p.to_json()) == p
+
+
+def _same_as_reference(p, ref, *operands):
+    """A Poly2 result is canonical, shares no operand's dict, and is the
+    ReferencePoly2 result, shown the same way."""
+    _check_poly2_result(p, ref.c, *operands)
+    assert str(p) == str(ref) and p.to_json() == ref.to_json()
+    again = Poly2.from_json(p.to_json())
+    assert again == p and hash(again) == hash(p)
+
+
+def _check_against_reference(polys, refs, triples, scalars, points):
+    """Every Poly2 operation on ``polys`` against the same operation on the
+    matching ReferencePoly2s; the binary operations and subst on the index
+    ``triples``."""
+    for p, r in zip(polys, refs):
+        _same_as_reference(p, r)
+    for i, j, k in triples:
+        (a, b, c), (ra, rb, rc) = (polys[i], polys[j], polys[k]), (refs[i], refs[j], refs[k])
+        _same_as_reference(a + b, ra + rb, a, b)
+        _same_as_reference(a - b, ra - rb, a, b)
+        _same_as_reference(a * b, ra * rb, a, b)
+        _same_as_reference(a.subst(b, c), ra.subst(rb, rc), a, b, c)
+        assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+        if a == b:
+            assert hash(a) == hash(b)
+    for p, r in zip(polys, refs):
+        _same_as_reference(-p, -r, p)
+        for exp in range(4):
+            _same_as_reference(p**exp, r**exp, p)
+        for v in scalars:
+            _same_as_reference(p + v, r + v, p)
+            _same_as_reference(v - p, v - r, p)
+            _same_as_reference(p * v, r * v, p)
+            _same_as_reference(v * p, v * r, p)
+            assert (p == v) == (r == v)
+        for xv, yv in points:
+            value = p.eval(xv, yv)
+            assert type(value) is Q and value == r.eval(xv, yv), (p, xv, yv)
+        for var in ("x", "y"):
+            for v, _ in points:
+                got = p.specialize(var, v)
+                assert got == r.specialize(var, v) and all(type(c) is Q for c in got.a), (p, var, v)
+            for power in range(4):
+                _same_as_reference(p.coeff_of(var, power), r.coeff_of(var, power), p)
+            try:
+                want = r.as_poly1_in(var)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    p.as_poly1_in(var)
+            else:
+                got = p.as_poly1_in(var)
+                assert got == want and all(type(c) is Q for c in got.a)
+        assert p.is_const() == r.is_const()
+        if p.is_const():
+            assert type(p.const_value()) is Q and p.const_value() == r.const_value()
+            assert hash(p) == hash(p.const_value())
+
+
+def test_poly2_matches_the_fraction_reference():
+    """Fraction-free Poly2 against the dict-of-Fraction class it replaced, on
+    the shared operand generator: ring operations, subst, eval, specialize,
+    coeff_of, as_poly1_in, display, JSON, == and hash."""
+    polys, scalars = _poly2_operands(random.Random(29))
+    refs, _ = _poly2_operands(random.Random(29), ReferencePoly2)
+    points = [(0, 0), (1, -1), (Q(-1, 3), 2), (Q(5, 2), Q(-7, 4)), ("-5/3", Q(2, 9))]
+    rng, idx = random.Random(30), range(len(polys))
+    triples = [(rng.choice(idx), rng.choice(idx), rng.choice(idx)) for _ in range(200)] + [(i, i, i) for i in idx]
+    _check_against_reference(polys, refs, triples, scalars, points)
+
+
+def test_poly2_matches_the_fraction_reference_on_hypothesis_examples():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    specs = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=5)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(specs, min_size=3, max_size=3), st.lists(coeffs, min_size=2, max_size=2))
+    def check(spec_list, values):
+        polys = [Poly2(spec) for spec in spec_list]
+        refs = [ReferencePoly2(spec) for spec in spec_list]
+        _check_against_reference(polys, refs, [(0, 1, 2), (2, 0, 1)], values, [tuple(values)])
+
+    check()
+
+
+def test_poly2_hash_agrees_with_eq():
+    """A constant equals its value and hashes as it; a non-number is unequal."""
+    three = Poly2.const(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert {3: "found"}.get(three) == "found"
+    assert {Q(-5, 3): "found"}.get(Poly2.const("-5/3")) == "found"
+    assert Poly2() == 0 and hash(Poly2()) == hash(0)
+    assert (three == "abc") is False and (three != "abc") is True
+    assert (three == "3") is False and (POLY_X == "x") is False
+    p, q = (POLY_X + Q(1, 2)) * 2 - 1, POLY_Y * 0 + 2 * POLY_X
+    assert p == q and hash(p) == hash(q)
+
+
+def test_poly2_const_value_is_a_fraction():
+    for p in (Poly2.const(3), Poly2(), Poly2.const(Q(6, 2)), (POLY_X + 3) - POLY_X, Poly2.const(Q(-5, 3)) * 3):
+        value = p.const_value()
+        assert type(value) is Q, (p, value)
+        if value:
+            assert type(1 / value) is Q
+
+
+def test_poly2_rejects_floats():
+    p = POLY_X + Q(1, 2)
+    operations = (
+        lambda: p + 0.5, lambda: 0.5 + p, lambda: p - 0.5, lambda: 0.5 - p, lambda: p * 0.5, lambda: 0.5 * p,
+        lambda: Poly2.const(0.5), lambda: Poly2({(0, 0): 0.5}), lambda: p.eval(0.5, 1),
+        lambda: p.specialize("x", 0.5), lambda: p.subst(0.5, POLY_Y),
+    )
+    for operation in operations:
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_poly1_divmod():
@@ -688,7 +826,7 @@ def test_resultant_and_rational_roots_match_sympy():
     variables = {"x": x, "y": y}
 
     def to_sympy(p: Poly2):
-        return sum(sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.c.items())
+        return sum(sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.terms_sorted())
 
     def poly1_to_sympy(p: Poly1):
         t = variables[p.var]
