@@ -9,11 +9,15 @@ Two concrete free-field algebras are provided:
   hosting the level 0 realization.
 
 All modes carry the n-th-product integer index; half-integer labels never
-appear.  Coefficients are rational: the level 0 images are normalized so that
-no square root enters (see :func:`fermionic_embedding`).  An algebra is given
-by its generators (parity and conformal weight) and the scalar pairing of two
-modes; normal ordering and the Borcherds iterate recursion for composite
-states are those of :class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.
+appear.  States have rational coefficients: the level 0 images are
+normalized so that no square root enters (see :func:`fermionic_embedding`).
+An algebra is given by its generators (parity and conformal weight) and the
+scalar pairing of two modes; normal ordering and the Borcherds iterate
+recursion for composite states are those of
+:class:`~bpalgebra.modes.ModeAlgebra`, with Koszul signs.  Every pairing and
+every binomial and sign of the recursion is an integer, so the memo tables
+are computed over Z (:class:`~bpalgebra.modes.IntState`); a memo entry
+enters a state over Q multiplied by a rational factor.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .arith import Q, frac
-from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, Bracket, ModeAlgebra, ScalarState, State, expand_word
+from .modes import GM, GP, J, L, OMEGA, VAC, BPAlgebra, Bracket, IntState, ModeAlgebra, ScalarState, State, expand_word
 from .weightspace import multisets
 
 
@@ -46,6 +50,11 @@ class FFAlgebra(ModeAlgebra):
     Normal ordering is :class:`ModeAlgebra`'s: the modes with index <= -1
     create on the vacuum, in generator order and then by index, and the
     pairing is the (super)commutator of two modes.
+
+    States are over Q (:class:`FFState`); the memo tables are over Z
+    (:class:`IntState`), so the pairing must take integer values: a
+    non-integral one raises ``ValueError`` when it is first needed, rather
+    than being truncated.
     """
 
     state_type = FFState
@@ -58,6 +67,7 @@ class FFAlgebra(ModeAlgebra):
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
         self._weight_memo: dict = {}
+        self.memo_type = IntState
 
     def parity(self, gen: str) -> int:
         return self.generators[gen].parity
@@ -78,11 +88,11 @@ class FFAlgebra(ModeAlgebra):
     def is_creation(self, mode, base: str) -> bool:
         return mode[1] <= -1
 
-    def base_action(self, mode, base: str) -> Fraction:
-        return Q(0)  # every non-creation mode kills the vacuum
+    def base_action(self, mode, base: str) -> int:
+        return 0  # every non-creation mode kills the vacuum
 
     def bracket(self, mode, head) -> Bracket:
-        return Bracket(scalar=self._pairing(mode, head))
+        return Bracket(scalar=IntState.lift(self._pairing(mode, head)))
 
     def translate(self, s: FFState) -> FFState:
         """The translation operator D: [D, x_(n)] = -n x_(n-1), D(vacuum) = 0."""
@@ -110,10 +120,10 @@ def weyl_algebra() -> FFAlgebra:
     def pairing(ma, mb):
         (ga, na), (gb, nb) = ma, mb
         if ga == "a+" and gb == "a-" and na + nb + 1 == 0:
-            return Q(1)
+            return 1
         if ga == "a-" and gb == "a+" and na + nb + 1 == 0:
-            return Q(-1)
-        return Q(0)
+            return -1
+        return 0
 
     return FFAlgebra(
         "weyl",
@@ -126,12 +136,12 @@ def fermionic_algebra() -> FFAlgebra:
     def pairing(ma, mb):
         (ga, na), (gb, nb) = ma, mb
         if {ga, gb} == {"P+", "P-"} and ga != gb and na + nb + 1 == 0:
-            return Q(1)
+            return 1
         if ga == "b" and gb == "c" and na + nb == 0:
-            return Q(na)
+            return na
         if ga == "c" and gb == "b" and na + nb == 0:
-            return Q(nb)
-        return Q(0)
+            return nb
+        return 0
 
     return FFAlgebra(
         "fermionic",

@@ -25,9 +25,10 @@ States are finite linear combinations of canonical PBW monomials applied to
 the vacuum or to a generic highest-weight vector v(x,y) with (J(0), L(0))
 eigenvalues (x, y).  Coefficients lie in the state type's ``ring``: Q[x,y]
 for :class:`State`, Q for :class:`ScalarState`, which serves vacuum
-computations that never meet x or y.  The canonical monomial order puts the
-generators in the order L < J < G+ < G- (the order used by the tables we
-reproduce) with non-increasing mode indices inside each generator block.
+computations that never meet x or y, and Z for :class:`IntState`, the ring
+of the free-field engines' memo tables.  The canonical monomial order puts
+the generators in the order L < J < G+ < G- (the order used by the tables
+we reproduce) with non-increasing mode indices inside each generator block.
 
 :class:`State` is the one sparse combination type of the package and
 :class:`ModeAlgebra` the one normal-ordering engine: it inserts a mode into a
@@ -249,6 +250,12 @@ def _evaluate(form: tuple, m: int, n: int, value) -> Bracket:
     return Bracket(tuple(j2), tuple(linear), value(0, 1) if scalar is None else scalar)
 
 
+def _floor_sum(a, b, n: int) -> int:
+    """floor(a + b) + n for rationals a and b, by integer floor division."""
+    da, db = a.denominator, b.denominator
+    return (a.numerator * db + b.numerator * da) // (da * db) + n
+
+
 class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))):
     """Exact commutator [a, b] of two generator modes.
 
@@ -258,7 +265,8 @@ class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))
     (:meth:`ModeAlgebra._add_bracket`).  ``linear`` lists (mode, coeff) and
     ``scalar`` is the central term with delta conditions already evaluated.
     Brackets are memoized per algebra, so they are immutable; the ones an
-    algebra's ``bracket`` returns hold their constants in its state ring.
+    algebra's ``bracket`` returns hold their constants in its memo ring
+    (:class:`ModeAlgebra`), not its state ring: Z for the free-field engines.
     """
 
     __slots__ = ()
@@ -385,6 +393,22 @@ class ScalarState(State):
     ring = lift = Fraction
 
 
+class IntState(State):
+    """A state with coefficients in Z: the memo ring of an engine whose
+    structure constants are all integers (the free-field engines)."""
+
+    __slots__ = ()
+    ring = int
+
+    @staticmethod
+    def lift(value) -> int:
+        """An integral int or Fraction as an int; any other value raises, so
+        a non-integral constant is never truncated into Z."""
+        if isinstance(value, (int, Fraction)) and value.denominator == 1:
+            return int(value)
+        raise ValueError(f"{value!r} is not an integer")
+
+
 class ModeAlgebra:
     """Normal ordering of modes, and modes of composite states.
 
@@ -395,17 +419,22 @@ class ModeAlgebra:
     * ``base_action(mode, base)`` -- the scalar by which a non-creation mode
       acts on the bare base vector;
     * ``bracket(mode, head)`` -- the (super)commutator [mode, head] as a
-      :class:`Bracket` whose constants lie in the ring of ``state_type``;
+      :class:`Bracket` whose constants lie in the memo ring;
     * ``parity(gen)`` -- the Koszul sign of a swap; odd modes square to zero;
     * ``weight(mode)``, ``product_mode(gen, j)`` (the mode acting as the j-th
       product of the generator state) and its inverse ``product_index(mode)``
       for the iterate recursion.
 
-    A subclass also sets ``state_type`` and creates the memo dicts
-    ``_insert_memo``, ``_action_memo`` and ``_weight_memo``.  Insertion and
-    action memo values are frozen tuples of (monomial, coefficient) pairs, so
-    no result can alias a memo table; the weight memo holds one immutable
-    ``Fraction`` per monomial.
+    A subclass also sets ``state_type``, the type of public results; its
+    ``__init__`` creates the memo dicts ``_insert_memo``, ``_action_memo``
+    and ``_weight_memo`` and, beside them, the memo ring ``memo_type``: the
+    state type in which ``_insert`` and ``_mono_product`` accumulate, whose
+    ring holds the bracket constants and memo coefficients (``state_type``
+    for :class:`BPAlgebra`, :class:`IntState` for the free fields).  A memo
+    coefficient enters a public state only times a factor lifted into its
+    ring.  Insertion and action memo values are frozen tuples of (monomial,
+    coefficient) pairs, so no result can alias a memo table; the weight memo
+    holds one immutable ``Fraction`` per monomial.
 
     Modes of composite states follow the Borcherds iterate recursion: for a
     monomial a u with head generator a,
@@ -445,7 +474,7 @@ class ModeAlgebra:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        lift = self.state_type.lift
+        lift = self.memo_type.lift
         if not mono:
             if self.is_creation(m, base):
                 result = (((m,), lift(1)),)
@@ -461,7 +490,7 @@ class ModeAlgebra:
             # m head rest = +-head (m rest) + [m, head] rest, from the memo.
             head, rest = mono[0], mono[1:]
             odd = self.parity(m[0]) and self.parity(head[0])
-            total = self.state_type(base=base)
+            total = self.memo_type(base=base)
             self._add_bracket(total, self.bracket(m, head), rest)
             for mono2, c2 in self._insert(m, rest, base):
                 total.add_scaled(self._insert(head, mono2, base), -c2 if odd else c2)
@@ -471,7 +500,8 @@ class ModeAlgebra:
 
     def _add_bracket(self, out: State, br: Bracket, mono: tuple, factor=None) -> None:
         """Add ``factor`` (1 when omitted) times ``br`` applied to the canonical
-        monomial ``mono`` into ``out``; both lie in the ring of ``out``.
+        monomial ``mono`` into ``out``.  The bracket's constants lie in the
+        memo ring, ``factor`` in the ring of ``out``, which contains it.
 
         A (J^2)_p marker expands with the normal-ordered splitting
             (J^2)_p = sum_{j<=-1} J_j J_{p-j} + sum_{j>=0} J_{p-j} J_j,
@@ -494,7 +524,7 @@ class ModeAlgebra:
                         out.add_scaled(self._insert(outer, mono2, base), coeff * c2)
 
     def apply_bracket(self, br: Bracket, s: State) -> State:
-        """A bracket, its constants in the ring of ``s``, applied to ``s``."""
+        """A bracket of this engine applied to ``s``, in the ring of ``s``."""
         out = type(s)(base=s.base)
         for mono, coeff in s.terms.items():
             self._add_bracket(out, br, mono, coeff)
@@ -522,16 +552,16 @@ class ModeAlgebra:
         if hit is not None:
             return hit
         if not umono:
-            result = memo[key] = ((wmono, self.state_type.lift(1)),) if p == -1 else ()
+            result = memo[key] = ((wmono, self.memo_type.lift(1)),) if p == -1 else ()
             return result
         head, rest = umono[0], umono[1:]
         gen, m = head[0], self.product_index(head)
         w_weight = self.monomial_weight(wmono)
-        total = self.state_type(base=base)
+        total = self.memo_type(base=base)
         # Head sum: a_(m-j) (rest_(p+j) w), the mode inserted into each
         # monomial of the inner product.  x_(n) w has weight
         # wt(x) + wt(w) - n - 1 and vanishes when that is negative.
-        for j in range(math.floor(self.monomial_weight(rest) + w_weight - p)):
+        for j in range(_floor_sum(self.monomial_weight(rest), w_weight, -p)):
             coeff = (-1) ** j * binomial(m, j)
             if coeff:
                 md = self.product_mode(gen, m - j)
@@ -541,7 +571,7 @@ class ModeAlgebra:
         # weight(product_mode(gen, j)) + wt(w), one less for each step in j.
         koszul = -1 if self.parity(gen) and self.monomial_parity(rest) else 1
         tail_sign = koszul * (1 if m % 2 else -1)
-        for j in range(math.floor(self.weight(self.product_mode(gen, 0)) + w_weight) + 1):
+        for j in range(_floor_sum(self.monomial_weight((self.product_mode(gen, 0),)), w_weight, 1)):
             coeff = (-1) ** j * binomial(m, j) * tail_sign
             if coeff:
                 for mono2, c2 in self._insert(self.product_mode(gen, j), wmono, base):
@@ -571,6 +601,7 @@ class BPAlgebra(ModeAlgebra):
         self._insert_memo: dict = {}
         self._action_memo: dict = {}
         self._weight_memo: dict = {}
+        self.memo_type = self.state_type
         self._bracket_memo: dict = {}
         self._forms: dict = {}
 
@@ -663,7 +694,7 @@ class BPAlgebra(ModeAlgebra):
     _lift_constants = staticmethod(_q_constants)
 
     def _ring_value(self, total: int, den: int):
-        return self.state_type.lift(total, den)
+        return self.memo_type.lift(total, den)
 
     def _bracket_omega(self, a: Mode, b: Mode) -> Bracket:
         """[a, b] over Q in the omega grading: the printed table."""

@@ -5,6 +5,8 @@ import pytest
 
 from bpalgebra.freefield import (
     Embedding,
+    FFAlgebra,
+    FFGenerator,
     FFState,
     check_embedding,
     clifford_sf_embedding_checks,
@@ -17,7 +19,7 @@ from bpalgebra.freefield import (
     weyl_charge_decomposition,
     weyl_embedding,
 )
-from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, OMEGA, VAC
+from bpalgebra.modes import BAR, BPAlgebra, GM, GP, IntState, J, OMEGA, VAC
 from bpalgebra.tables import omega4
 from bpalgebra.weightspace import enumerate_basis
 
@@ -202,6 +204,10 @@ def test_sector_highest_weights():
     emb = weyl_embedding()
     assert hw_weight_of(emb, emb.algebra.normal_form([("a+", -1)])) == (Q(1, 3), Q(1, 3))
     assert hw_weight_of(emb, emb.algebra.normal_form([("a-", -1)])) == (Q(-1, 3), Q(2, 3))
+    # Also on states built with int coefficients: Fractions out, no float.
+    for coeff in (1, -2, Q(-2, 5)):
+        got = hw_weight_of(emb, FFState(terms={(("a+", -1),): coeff}))
+        assert got == (Q(1, 3), Q(1, 3)) and all(type(v) is Q for v in got), (coeff, got)
 
 
 def test_clifford_symplectic_conformal_embedding():
@@ -223,3 +229,82 @@ def test_named_wrappers():
     om_eng = BPAlgebra(Q(-5, 3), OMEGA)
     assert push_state(emb, om_eng, omega4(om_eng)).is_zero()
     assert not push_state(emb, om_eng, om_eng.normal_form([(J, -1)])).is_zero()
+
+
+@pytest.mark.parametrize("make", [weyl_embedding, fermionic_embedding])
+def test_free_field_memo_tables_hold_ints(make):
+    """The free-field engines compute their memo tables over Z: after the
+    whole OPE table every insertion and action memo coefficient is an int,
+    and so is every pairing constant; the states stay over Q."""
+    emb = make()
+    alg = emb.algebra
+    assert all(ok for _, ok, _, _ in check_embedding(emb))
+    assert alg.memo_type is IntState and alg.state_type is FFState and FFState.ring is Q
+    for memo in (alg._insert_memo, alg._action_memo):
+        assert len(memo) >= 50, len(memo)
+        assert all(type(c) is int for pairs in memo.values() for _, c in pairs)
+    assert sum(bool(c) for pairs in alg._action_memo.values() for _, c in pairs) >= 100
+    gens = list(alg.generators)
+    brackets = [alg.bracket((a, m), (b, -m - d)) for a in gens for b in gens for m in range(-2, 3) for d in (0, 1)]
+    assert all(type(br.scalar) is int for br in brackets) and any(br.scalar for br in brackets)
+    assert type(alg.base_action((gens[0], 0), VAC)) is int
+
+
+def _int_states(alg):
+    """States of the algebra built with int coefficients, as a user may."""
+    gens = list(alg.generators)
+    monos = [((gens[0], -1),), ((gens[0], -2), (gens[1], -1)), ((gens[1], -1), (gens[-1], -1))]
+    return [FFState(terms={mono: c}) for mono, c in zip(monos, (1, -2, 3))] + [FFState(terms={(): 1})]
+
+
+@pytest.mark.parametrize("make", [weyl_algebra, fermionic_algebra])
+def test_public_free_field_results_are_fractions(make):
+    """product, apply_mode, normal_form, translate and apply_bracket return
+    states over Q, with Fraction coefficients only, also on states built
+    with int coefficients and for int scalars."""
+    alg = make()
+    gens = list(alg.generators)
+    states = _int_states(alg)
+    results = []
+    for u in states:
+        for w in states:
+            results += [alg.product(u, p, w) for p in range(-2, 3)]
+        results += [alg.apply_mode((g, n), u) for g in gens for n in range(-2, 3)]
+        results.append(alg.translate(u))
+        for a in gens:
+            for b in gens:
+                results += [alg.apply_bracket(alg.bracket((a, m), (b, -m - 1)), u) for m in range(-2, 2)]
+                results.append(alg.apply_bracket(alg.bracket((a, 1), (b, -1)), u))
+    results += [alg.normal_form([(g, -1), (gens[0], -2)], coeff=c) for g in gens for c in (1, -3)]
+    nonzero = [s for s in results if not s.is_zero()]
+    assert len(nonzero) >= 40, len(nonzero)
+    for s in results:
+        assert type(s) is FFState and all(type(c) is Q for c in s.terms.values()), s
+
+
+def test_integer_memo_ring_never_truncates():
+    """A pairing with a non-integral value raises instead of being truncated
+    into the integer memo ring; an integral Fraction is taken exactly."""
+    assert IntState.lift(Q(6, 3)) == 2 and type(IntState.lift(Q(6, 3))) is int
+    assert IntState.lift(-4) == -4
+    for bad in (Q(1, 2), Q(-7, 3), 0.5, 2.0, "1"):
+        with pytest.raises((TypeError, ValueError), match="is not an integer"):
+            IntState.lift(bad)
+
+    def algebra(value):
+        def pairing(ma, mb):
+            return value if ma[1] + mb[1] + 1 == 0 else 0
+
+        return FFAlgebra("half", [FFGenerator("x", 0, Q(1, 2))], pairing)
+
+    half = algebra(Q(1, 2))
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\) is not an integer"):
+        half.apply_mode(("x", 0), half.normal_form([("x", -1)]))
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\) is not an integer"):
+        half.product(half.normal_form([("x", -1)]), 0, half.normal_form([("x", -1)]))
+    # The same algebra with the integral Fraction 2 computes exactly.
+    two = algebra(Q(2))
+    got = two.apply_mode(("x", 0), two.normal_form([("x", -1)] * 3))
+    assert got == two.normal_form([("x", -1)] * 2, coeff=6)
+    assert all(type(c) is Q for c in got.terms.values())
+    assert all(type(c) is int for pairs in two._insert_memo.values() for _, c in pairs)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -527,3 +528,54 @@ def test_monomial_weight_is_memoized_per_engine():
                 assert got == want and type(got) is Q, (alg, mono, got, want)
     bar_eng, om_eng = engines[0][0], engines[1][0]
     assert any(bar_eng.monomial_weight(m) != om_eng.monomial_weight(m) for m in bp_monos)
+
+
+def test_floor_sum_matches_math_floor():
+    """The recursion's loop bounds by integer floor division equal math.floor
+    of the Fraction sums, on every pair of weights in (1/2)Z from 0 to 8
+    (and some thirds and negatives) and every p from -6 to 6."""
+    from bpalgebra.modes import _floor_sum
+
+    weights = [Q(i, 2) for i in range(17)] + [Q(-7, 2), Q(-1, 3), Q(5, 3), -Q(8, 3)]
+    for a in weights:
+        for b in weights:
+            for p in range(-6, 7):
+                got = _floor_sum(a, b, -p)
+                assert got == math.floor(a + b - p) and type(got) is int, (a, b, p)
+            assert _floor_sum(a, b, 1) == math.floor(a + b) + 1, (a, b)
+
+
+def _visited_case(name):
+    """(fresh algebra, its product, [(u, p, w)]) for the visited-set check."""
+    from bpalgebra.freefield import expected_products, fermionic_algebra, fermionic_embedding, weyl_algebra, weyl_embedding
+
+    if name == "bar":
+        alg = BPAlgebra(KTEST, BAR)
+        us = [alg.normal_form(w) for w in ([(J, -1), (J, -1)], [(L, -2)], [(GP, -1), (GM, -2)], [(J, -2), (GP, -1)])]
+        ws = [alg.normal_form(w, base=b) for b, w in ((VAC, [(GM, -2)]), (HW, []), (HW, [(GP, 0), (J, -1)]))]
+        return alg, alg.state_product_action, [(u, p, w) for u in us for w in ws for p in range(-2, 3)]
+    # The OPE table's states, built by an engine of their own.
+    emb, alg = (weyl_embedding(), weyl_algebra()) if name == "weyl" else (fermionic_embedding(), fermionic_algebra())
+    return alg, alg.product, [(left, n, right) for _, left, n, right, _ in expected_products(emb)]
+
+
+@pytest.mark.parametrize("name", ["bar", "weyl", "fermionic"])
+def test_iterate_recursion_visits_what_the_reference_visits(name):
+    """A fresh engine's action memo holds exactly the (u, p, w) entries that
+    the Fraction-weight reference recursion asks for, from the same
+    top-level products, and its insertion memo the same insertions: the
+    loop bounds are tight, so neither sum of the recursion requests a
+    product or an insertion it could skip, nor skips one it needs."""
+    alg, product, cases = _visited_case(name)
+    ref_alg, _, _ = _visited_case(name)
+    memo = {}
+    for u, p, w in cases:
+        product(u, p, w)
+        for umono in u.terms:
+            for wmono in w.terms:
+                reference_mono_product(ref_alg, umono, p, wmono, w.base, memo)
+    assert len(memo) >= 50, len(memo)
+    assert set(alg._action_memo) == set(memo)
+    assert set(alg._insert_memo) == set(ref_alg._insert_memo)
+    for key, pairs in alg._action_memo.items():
+        assert dict(pairs) == dict(memo[key]), key
