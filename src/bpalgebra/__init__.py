@@ -5,7 +5,7 @@ highest-weight classifications at the supported levels, and the free-field
 realizations, all over exact rational arithmetic.
 """
 
-from .arith import Poly1, Poly2, binomial, frac, rational_roots, resultant
+from .arith import Poly2, binomial, frac, rational_roots, resultant
 from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
 from .weightspace import (
     contragredient_weight,

@@ -1,17 +1,14 @@
 """Exact scalar and polynomial arithmetic.
 
 Every scalar is exact, an ``int`` or a ``fractions.Fraction``: no floating
-point appears anywhere in the library.  Two small polynomial types are
-provided:
-
-* :class:`Poly2` -- sparse polynomials in Q[x, y], used for highest-weight
-  parameters and Zhu-algebra coefficients.  Inside, a Poly2 is integers:
-  numerators over one common denominator, so its arithmetic makes no
-  Fraction; coefficients become Fractions only at its boundary (display,
-  JSON, :meth:`Poly2.const_value`, :meth:`Poly2.eval` and the views as
-  :class:`Poly1`).
-* :class:`Poly1` -- univariate polynomials over Q with exact rational root
-  extraction, used by the elimination machinery.
+point appears anywhere in the library.  One polynomial type is provided:
+:class:`Poly2`, sparse polynomials in Q[x, y], used for highest-weight
+parameters and Zhu-algebra coefficients.  Inside, a Poly2 is integers:
+numerators over one common denominator, so its arithmetic makes no Fraction;
+coefficients become Fractions only at its boundary (display, JSON,
+:meth:`Poly2.const_value` and :meth:`Poly2.eval`).  A univariate polynomial
+is a Poly2 in x only or in y only: :func:`rational_roots` finds its exact
+rational roots, and :func:`resultant` returns one.
 
 The linear algebra has one elimination.  :func:`_echelon` is the sparse row
 echelon form mod a prime behind both :func:`rank_mod_p` and
@@ -21,7 +18,7 @@ reconstruction, and certifies it exactly on the integer-scaled rows.
 Elements of GF(p) are plain ``int`` residues in [0, p), and :func:`residue`
 maps a rational to one.  The Sylvester resultant is a determinant over
 Q[t], taken by Bareiss's fraction-free elimination, whose divisions are
-exact.
+exact and run on integer numerators.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ def join_signed(parts: list) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate polynomials
+# Polynomials
 # ---------------------------------------------------------------------------
 
 class Poly2:
@@ -255,30 +252,6 @@ class Poly2:
                 c[key] = c.get(key, 0) + v * scale
         return _canonical({key: val for key, val in c.items() if val}, self._den * dp**dx * dq**dy)
 
-    def specialize(self, var: str, value) -> "Poly1":
-        """Set ``var`` to ``value``; the result is univariate in the other variable."""
-        pos = 0 if var == "x" else 1
-        pows, vden = _scaled_powers(frac(value), self.degree_in(var))
-        sums: dict[int, int] = {}
-        for key, val in self._num.items():
-            d = key[1 - pos]
-            sums[d] = sums.get(d, 0) + val * pows[key[pos]]
-        den = self._den * vden
-        deg = max(sums, default=0)
-        return Poly1([Fraction(sums.get(d, 0), den) for d in range(deg + 1)], var="y" if pos == 0 else "x")
-
-    def as_poly1_in(self, var: str) -> "Poly1":
-        """View as univariate in ``var``; the other variable must be absent."""
-        pos = 0 if var == "x" else 1
-        other = 1 - pos
-        coeffs = {}
-        for key, val in self._num.items():
-            if key[other]:
-                raise ValueError(f"{self} is not univariate in {var}")
-            coeffs[key[pos]] = val
-        deg = max(coeffs, default=0)
-        return Poly1([Fraction(coeffs.get(d, 0), self._den) for d in range(deg + 1)], var=var)
-
     # -- display / serialization -------------------------------------------
     def terms_sorted(self):
         """(key, Fraction) terms in graded-lex order with x > y (deterministic
@@ -287,11 +260,14 @@ class Poly2:
         return sorted(((key, Fraction(val, den)) for key, val in self._num.items()),
                       key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
 
-    def __str__(self):
+    def format(self, x: str = "x") -> str:
+        """The display, in graded-lex order with x > y, with ``x`` as the name
+        of the first variable: a polynomial in an index i is an x-polynomial
+        shown by ``p.format(x="i")``."""
         parts = []
         for (i, j), val in self.terms_sorted():
             mono = "*".join(
-                ([f"x^{i}" if i > 1 else "x"] if i else [])
+                ([f"{x}^{i}" if i > 1 else x] if i else [])
                 + ([f"y^{j}" if j > 1 else "y"] if j else [])
             )
             if not mono:
@@ -304,7 +280,7 @@ class Poly2:
                 parts.append(f"{val}*{mono}")
         return join_signed(parts)
 
-    __repr__ = __str__
+    __str__ = __repr__ = format
 
     def to_json(self):
         return [[i, j, str(val)] for (i, j), val in self.terms_sorted()]
@@ -367,164 +343,86 @@ POLY_Y = Poly2.y()
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials
+# Polynomials in one variable: Poly2s in x only or in y only
 # ---------------------------------------------------------------------------
 
-class Poly1:
-    """Dense univariate polynomial over Q with exact arithmetic."""
-
-    __slots__ = ("a", "var")
-
-    def __init__(self, coeffs: Iterable = (), var: str = "x"):
-        a = [frac(v) for v in coeffs]
-        while a and not a[-1]:
-            a.pop()
-        self.a = a
-        self.var = var
-
-    @staticmethod
-    def const(value, var="x") -> "Poly1":
-        return Poly1([frac(value)], var=var)
-
-    @staticmethod
-    def ident(var="x") -> "Poly1":
-        return Poly1([0, 1], var=var)
-
-    def degree(self) -> int:
-        return len(self.a) - 1 if self.a else -1
-
-    def is_zero(self) -> bool:
-        return not self.a
-
-    def is_const(self) -> bool:
-        return len(self.a) <= 1
-
-    def __getitem__(self, d: int) -> Fraction:
-        return self.a[d] if 0 <= d < len(self.a) else Fraction(0)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            other = Poly1.const(other, var=self.var)
-        return isinstance(other, Poly1) and self.a == other.a
-
-    def __hash__(self):
-        return hash(tuple(self.a))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.a), len(other.a))
-        return Poly1([self[d] + other[d] for d in range(n)], var=self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1([-v for v in self.a], var=self.var)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly1(var=self.var)
-        out = [Fraction(0)] * (len(self.a) + len(other.a) - 1)
-        for i, u in enumerate(self.a):
-            if not u:
-                continue
-            for j, v in enumerate(other.a):
-                out[i + j] += u * v
-        return Poly1(out, var=self.var)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other) -> "Poly1":
-        if isinstance(other, Poly1):
-            return other
-        return Poly1.const(other, var=self.var)
-
-    def eval(self, point) -> Fraction:
-        point = frac(point)
-        total = Fraction(0)
-        for coeff in reversed(self.a):
-            total = total * point + coeff
-        return total
-
-    def divmod_exact(self, other: "Poly1"):
-        """Quotient and remainder over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.a)
-        quot = [Fraction(0)] * max(0, len(rem) - len(other.a) + 1)
-        dlead = other.a[-1]
-        while len(rem) >= len(other.a):
-            factor = rem[-1] / dlead
-            shift = len(rem) - len(other.a)
-            quot[shift] = factor
-            for i, v in enumerate(other.a):
-                rem[shift + i] -= factor * v
-            while rem and not rem[-1]:
-                rem.pop()
-            if not rem:
-                break
-        return Poly1(quot, var=self.var), Poly1(rem, var=self.var)
-
-    def __str__(self):
-        parts = []
-        for d in range(len(self.a) - 1, -1, -1):
-            val = self.a[d]
-            if not val:
-                continue
-            if d == 0:
-                parts.append(str(val))
-            else:
-                mono = self.var if d == 1 else f"{self.var}^{d}"
-                parts.append(mono if val == 1 else (f"-{mono}" if val == -1 else f"{val}*{mono}"))
-        return join_signed(parts)
-
-    __repr__ = __str__
+def _dense(p: Poly2, pos: int) -> list[int]:
+    """The numerators of ``p``, a polynomial in the variable at ``pos`` only
+    (0 for x, 1 for y), by degree from 0; [] for zero."""
+    ints = [0] * (max((key[pos] for key in p._num), default=-1) + 1)
+    for key, val in p._num.items():
+        ints[key[pos]] = val
+    return ints
 
 
-def rational_roots(p: Poly1):
-    """All rational roots of ``p`` with multiplicity, plus the cofactor.
+def _from_dense(ints: list[int], den: int, pos: int) -> Poly2:
+    """The polynomial sum ints[d] t^d / den in the variable t at ``pos``."""
+    return _canonical({((0, d) if pos else (d, 0)): val for d, val in enumerate(ints) if val}, den)
+
+
+def _quotient(a: Poly2, b: Poly2, pos: int) -> Poly2 | None:
+    """a / b if b divides a, else None, for polynomials in the variable at
+    ``pos`` only.
+
+    With b's numerators c B, c their positive content, B is primitive, so by
+    Gauss's lemma a's numerators divided by B is an integer polynomial when b
+    divides a; it is taken from the top in integer steps, and a / b is it
+    times b's denominator over c times a's.
+    """
+    num, div = _dense(a, pos), _dense(b, pos)
+    if not div:
+        raise ZeroDivisionError("polynomial division by zero")
+    content = math.gcd(*div)
+    div = [val // content for val in div]
+    m, lead = len(div) - 1, div[-1]
+    quot = [0] * max(0, len(num) - m)
+    for k in range(len(quot) - 1, -1, -1):
+        q, r = divmod(num[k + m], lead)
+        if r:
+            return None
+        quot[k] = q
+        for j, val in enumerate(div):
+            num[k + j] -= q * val
+    if any(num):
+        return None
+    return _from_dense([q * b._den for q in quot], a._den * content, pos)
+
+
+def rational_roots(p: Poly2):
+    """All rational roots of ``p``, a polynomial in x only or in y only, with
+    multiplicity, plus the cofactor.
 
     Returns ``(roots, cofactor)`` where ``roots`` maps each rational root to
     its multiplicity and ``cofactor`` is what remains of ``p`` after dividing
-    out the corresponding linear factors (so the root list is provably
-    complete iff the cofactor has no rational roots; it never does, by
-    construction, and the caller can check ``cofactor.is_const()`` to decide
-    whether irrational roots may remain).
+    out the corresponding monic linear factors, in the same variable (so the
+    root list is provably complete iff the cofactor has no rational roots; it
+    never does, by construction, and the caller can check
+    ``cofactor.is_const()`` to decide whether irrational roots may remain).
+    Raises ValueError on zero and on a polynomial in both x and y.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("the zero polynomial has every root")
-    # Strip x^m.
-    roots: dict[Fraction, int] = {}
-    a = list(p.a)
-    zero_mult = 0
-    while a and not a[0]:
-        a.pop(0)
-        zero_mult += 1
-    if zero_mult:
-        roots[Fraction(0)] = zero_mult
-    work = Poly1(a, var=p.var)
-    if work.degree() >= 1:
-        # Clear denominators: a root r/s in lowest terms has r | a0 and
-        # s | alead, and is one iff sum a_i r^i s^(d-i) vanishes.  The roots
-        # are deflated in ascending order, each as often as it divides.
-        den_lcm = math.lcm(*(v.denominator for v in work.a))
-        ints = [int(v * den_lcm) for v in work.a]
+    pos = 1 if any(j for _, j in p._num) else 0
+    if pos and any(i for i, _ in p._num):
+        raise ValueError(f"{p} is not a polynomial in one variable")
+    # Strip t^m.
+    ints = _dense(p, pos)
+    zero_mult = next(d for d, val in enumerate(ints) if val)
+    roots: dict[Fraction, int] = {Fraction(0): zero_mult} if zero_mult else {}
+    ints = ints[zero_mult:]
+    work = _from_dense(ints, p._den, pos)
+    if len(ints) > 1:
+        # A root r/s in lowest terms has r | a0 and s | alead, and is one iff
+        # sum a_i r^i s^(d-i) vanishes.  The roots are deflated in ascending
+        # order, each as often as it divides.
         found = []
         for r in _divisors(abs(ints[0])):
             for s in _divisors(abs(ints[-1])):
                 if math.gcd(r, s) == 1:
                     found.extend(Fraction(num, s) for num in (r, -r) if not _homogeneous_value(ints, num, s))
         for cand in sorted(found):
-            while not work.is_const():
-                quot, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
-                if not rem.is_zero():
-                    break
+            linear = _from_dense([-cand.numerator, cand.denominator], cand.denominator, pos)
+            while (quot := _quotient(work, linear, pos)) is not None:
                 roots[cand] = roots.get(cand, 0) + 1
                 work = quot
     return roots, work
@@ -552,34 +450,30 @@ def _divisors(n: int):
     return sorted(set(out))
 
 
-# ---------------------------------------------------------------------------
-# Resultants and exact linear algebra
-# ---------------------------------------------------------------------------
-
-def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly1:
+def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly2:
     """Sylvester resultant of p, q with respect to ``eliminate`` ("x" or "y").
 
     The sign convention is that of the Sylvester determinant with p's
-    coefficient rows on top.  The result is univariate in the kept variable.
+    coefficient rows on top.  The result is a polynomial in the kept variable.
     """
     if not p or not q:
         raise ValueError("resultant of a zero polynomial")
-    keep = "y" if eliminate == "x" else "x"
+    keep = 1 if eliminate == "x" else 0  # the kept variable's place in a key
     n, m = p.degree_in(eliminate), q.degree_in(eliminate)
     if n == 0 and m == 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    prow = [p.coeff_of(eliminate, n - i).as_poly1_in(keep) for i in range(n + 1)]
-    qrow = [q.coeff_of(eliminate, m - i).as_poly1_in(keep) for i in range(m + 1)]
+    prow = [p.coeff_of(eliminate, n - i) for i in range(n + 1)]
+    qrow = [q.coeff_of(eliminate, m - i) for i in range(m + 1)]
     size = n + m
-    zero = Poly1(var=keep)
+    zero = Poly2()
     matrix = [[zero] * s + prow + [zero] * (m - 1 - s) for s in range(m)]
     matrix += [[zero] * s + qrow + [zero] * (n - 1 - s) for s in range(n)]
     # Bareiss: after step k, entry (i, j) is the minor on rows 0..k, i and
     # columns 0..k, j, so dividing by the previous pivot is exact over Q[t].
-    sign, prev = 1, Poly1([1], var=keep)
+    sign, prev = 1, Poly2.const(1)
     for k in range(size - 1):
-        if matrix[k][k].is_zero():
-            swap = next((r for r in range(k + 1, size) if not matrix[r][k].is_zero()), None)
+        if not matrix[k][k]:
+            swap = next((r for r in range(k + 1, size) if matrix[r][k]), None)
             if swap is None:
                 return zero
             matrix[k], matrix[swap] = matrix[swap], matrix[k]
@@ -587,11 +481,15 @@ def resultant(p: Poly2, q: Poly2, eliminate: str) -> Poly1:
         pivot = matrix[k]
         for row in matrix[k + 1:]:
             for j in range(k + 1, size):
-                row[j], rem = (row[j] * pivot[k] - row[k] * pivot[j]).divmod_exact(prev)
-                assert rem.is_zero()
+                row[j] = _quotient(row[j] * pivot[k] - row[k] * pivot[j], prev, keep)
+                assert row[j] is not None
         prev = pivot[k]
     return matrix[-1][-1] * sign
 
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra
+# ---------------------------------------------------------------------------
 
 # The modulus of the rank certificate: 1,073,741,789, the largest prime below
 # 2^30.  Every residue is then a one-digit CPython int (30 bits), and every

@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, rational_roots, resultant
+from .arith import POLY_X, POLY_Y, Poly2, Q, binomial, frac, rational_roots, resultant
 from .modes import BAR, BPAlgebra, State
 from .singular import integral_level_vector
 from .tables import RATIONAL_LEVELS, table_state
@@ -59,32 +59,32 @@ def solve_system(p: Poly2, q: Poly2):
     candidates_x = set()
     if diff.degree_in("y") == 0 and diff.degree_in("x") == 1:
         # Linear-in-x difference: x is pinned directly.
-        lin = diff.as_poly1_in("x")
-        candidates_x.add(-lin[0] / lin[1])
+        candidates_x.add(-diff.eval(0, 0) / diff.coeff_of("x", 1).const_value())
     else:
         if p.degree_in("y") == 0 and q.degree_in("y") == 0:
             raise ValueError("system is univariate in x; eliminate nothing")
         res = resultant(p, q, "y")
-        if res.is_zero():
+        if not res:
             raise IdenticalSystem("vanishing resultant: common factor in the system")
         roots, cofactor = rational_roots(res)
         candidates_x.update(roots)
         complete = complete and cofactor.is_const()
     solutions = []  # sorted and distinct: by x, then by the sorted fiber roots
     for xv in sorted(candidates_x):
-        ys, flag_complete = _common_univariate_roots(p.specialize("x", xv), q.specialize("x", xv))
+        fiber = Poly2.const(xv)
+        ys, flag_complete = _common_univariate_roots(p.subst(fiber, POLY_Y), q.subst(fiber, POLY_Y))
         complete = complete and flag_complete
         solutions.extend((xv, yv) for yv in ys if p.eval(xv, yv) == 0 and q.eval(xv, yv) == 0)
     return solutions, complete
 
 
-def _common_univariate_roots(p: Poly1, q: Poly1):
-    if p.is_zero() and q.is_zero():
+def _common_univariate_roots(p: Poly2, q: Poly2):
+    if not p and not q:
         raise IdenticalSystem("both polynomials vanish identically on a fiber")
-    if any(poly.is_const() and not poly.is_zero() for poly in (p, q)):
+    if any(poly.is_const() and poly for poly in (p, q)):
         return [], True  # a nonzero constant has no root: the fiber is empty
     # Roots of the first nonzero polynomial suffice; both are re-checked.
-    roots, cofactor = rational_roots(q if p.is_zero() else p)
+    roots, cofactor = rational_roots(p or q)
     return sorted(roots), cofactor.is_const()
 
 
@@ -193,14 +193,14 @@ def _classify_rational(bar: BPAlgebra, singular: State, h: dict, y0: Fraction) -
                 f"h{i}(x,y) = 0 = h{j} at the flow-shifted weight" + (f" (y != {line})" if j == 1 else ""),
                 [hi, shifted], sols, [s for s in sols if s[1] != s[0] + i - 1], complete)
             if j == i:
-                diag = hi.subst(POLY_X, POLY_X + i - 1).as_poly1_in("x")
+                diag = hi.subst(POLY_X, POLY_X + i - 1)
                 roots, cofactor = rational_roots(diag)
                 sols = sorted((r, r + i - 1) for r in roots)
                 add(f"dim{i}-diagonal", f"h{i}(x,{line}) = 0 (flow-shifted weight hits the boundary)",
                     [diag], sols, sols, cofactor.is_const())
     finite = sorted({s for br in branches for s in br.admitted})
 
-    bound_poly = filt.specialize("y", y0)
+    bound_poly = filt.subst(POLY_X, Poly2.const(y0))
     roots, cofactor = rational_roots(bound_poly)
     candidates = sorted((r, y0) for r in roots)
     dims = "- or ".join(str(i) for i in h)
@@ -236,18 +236,17 @@ def _classify_families(bar: BPAlgebra, h: dict) -> WeightSet:
     families, identities, flags, corners = [], [], [], []
     for i, hi in h.items():
         f = hi.coeff_of("y", 0) * (-1 / hi.coeff_of("y", 1).const_value())
-        curve = f.as_poly1_in("x")
         note = f"dim{i} family"
         for j in range(1, i):
-            for r in sorted(set(rational_roots(h[j].subst(POLY_X, f).as_poly1_in("x"))[0])):
-                yv = curve.eval(r)
+            for r in sorted(set(rational_roots(h[j].subst(POLY_X, f))[0])):
+                yv = f.eval(r, 0)
                 note += f" (x != {r})"
                 corners.append((r, yv))
                 flags.append(f"x = {r} on the dim-{i} family: h{j}({r},{yv}) = h{i}({r},{yv}) = 0; "
                              f"the top level degenerates to a {i}-dimensional indecomposable module")
-        families.append((f"y = {curve}", note))
+        families.append((f"y = {f}", note))
         action = top_action(bar, "F", i)
-        identities.append((f"h{i}(x, {curve}) == 0", not any(c.subst(POLY_X, f) for c in action.terms.values())))
+        identities.append((f"h{i}(x, {f}) == 0", not any(c.subst(POLY_X, f) for c in action.terms.values())))
     # Several corners name no single point, and the golden check then fails.
     return WeightSet(bar.k, [], [], finite_families=families, identities=identities,
                      flags=flags, flagged_corner=corners[0] if len(corners) == 1 else None)
@@ -261,9 +260,10 @@ def pi0_bracket_identity():
     """The zero-mode commutator identity of the boundary-weight family.
 
     nu^2 (C(4r, 3) - C(4r-4, 3)) = 3r^2 - 9/2 r + 15/8 with nu^2 = 6/64,
-    verified as an identity of polynomials in r.  Returns (lhs, rhs, equal).
+    verified as an identity of polynomials in r.  Returns (lhs, rhs, equal),
+    the sides as polynomials in x standing for r.
     """
-    r = Poly1.ident("r")
+    r = POLY_X
     lhs = (binomial(4 * r, 3) - binomial(4 * r - 4, 3)) * Q(6, 64)
-    rhs = 3 * r * r - Q(9, 2) * r + Poly1.const(Q(15, 8), "r")
+    rhs = 3 * r * r - Q(9, 2) * r + Q(15, 8)
     return lhs, rhs, lhs == rhs

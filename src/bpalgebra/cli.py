@@ -268,7 +268,7 @@ def cmd_classify(args) -> tuple[dict, bool]:
                 "certificates": [
                     {
                         "weight": (str(c.weight[0]), str(c.weight[1])),
-                        "h_i": str(c.poly_in_i),
+                        "h_i": c.poly_in_i.format(x="i"),
                         "rational_roots": [str(r) for r in c.rational_roots],
                         "verdict": c.verdict,
                     }
@@ -298,8 +298,8 @@ def cmd_classify(args) -> tuple[dict, bool]:
         lhs, rhs, same = pi0_bracket_identity()
         ok = ok and same
         report["zero_mode_commutator_identity"] = {
-            "lhs": str(lhs),
-            "rhs": str(rhs),
+            "lhs": lhs.format(x="r"),
+            "rhs": rhs.format(x="r"),
             "ok": same,
         }
     return report, ok

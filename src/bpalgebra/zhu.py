@@ -16,7 +16,7 @@ projections of the singular vectors.
 
 from __future__ import annotations
 
-from .arith import POLY_X, POLY_Y, Poly1, Poly2, Q, binomial, frac, join_signed
+from .arith import POLY_X, POLY_Y, Poly2, Q, binomial, frac, join_signed
 from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
 from .weightspace import top_vector
 
@@ -53,8 +53,9 @@ def h_closed_form(i: int, k) -> Poly2:
     )
 
 
-def h_in_i(k, x0, y0) -> Poly1:
-    """h_i(x0, y0) as an exact polynomial in the index i (Faulhaber sums)."""
+def h_in_i(k, x0, y0) -> Poly2:
+    """h_i(x0, y0) as an exact polynomial in the index i (Faulhaber sums),
+    written in x."""
     k, x0, y0 = frac(k), frac(x0), frac(y0)
     g = g_poly(k)
     c0 = g.eval(x0, y0)
@@ -62,9 +63,9 @@ def h_in_i(k, x0, y0) -> Poly1:
     c1 = 2 * k + 3 - 6 * x0
     c2 = Q(-3)
     # (1/i) sum_{j<i}: c0 + c1 (i-1)/2 + c2 (i-1)(2i-1)/6
-    i = Poly1.ident("i")
+    i = POLY_X
     return (
-        Poly1.const(c0, "i")
+        Poly2.const(c0)
         + (i - 1) * Q(c1, 2)
         + (i - 1) * (2 * i - 1) * Q(c2, 6)
     )

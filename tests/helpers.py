@@ -14,7 +14,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from bpalgebra import BPAlgebra, State
-from bpalgebra.arith import Poly1, _divisors, binomial, frac, join_signed
+from bpalgebra.arith import Poly2, _divisors, binomial, frac, join_signed
 from bpalgebra.classify import _singular_vector
 from bpalgebra.cli import _NEGATIVE_RATIONAL
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
@@ -32,6 +32,12 @@ def falling_binomial(n, j: int) -> Fraction:
     for t in range(1, j + 1):
         num /= t
     return num
+
+
+def poly_in(coeffs, var: str = "x") -> Poly2:
+    """sum coeffs[d] t^d as a Poly2 in t = ``var``: a dense coefficient list
+    by degree from 0, as the univariate class took it."""
+    return Poly2({((d, 0) if var == "x" else (0, d)): c for d, c in enumerate(coeffs)})
 
 
 class ReferencePoly2:
@@ -174,26 +180,6 @@ class ReferencePoly2:
             out = out + xpow[i] * ypow[j] * val
         return out
 
-    def specialize(self, var: str, value) -> Poly1:
-        pos = 0 if var == "x" else 1
-        value = frac(value)
-        coeffs: dict = {}
-        for key, val in self.c.items():
-            d = key[1 - pos]
-            coeffs[d] = coeffs.get(d, Fraction(0)) + val * value ** key[pos]
-        deg = max(coeffs, default=0)
-        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var="y" if pos == 0 else "x")
-
-    def as_poly1_in(self, var: str) -> Poly1:
-        pos = 0 if var == "x" else 1
-        coeffs = {}
-        for key, val in self.c.items():
-            if key[1 - pos]:
-                raise ValueError(f"{self} is not univariate in {var}")
-            coeffs[key[pos]] = val
-        deg = max(coeffs, default=0)
-        return Poly1([coeffs.get(d, Fraction(0)) for d in range(deg + 1)], var=var)
-
     def terms_sorted(self):
         return sorted(self.c.items(), key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
 
@@ -218,6 +204,163 @@ class ReferencePoly2:
 
     def to_json(self):
         return [[i, j, str(val)] for (i, j), val in self.terms_sorted()]
+
+
+class ReferencePoly1:
+    """The dense univariate polynomial over ``Fraction`` that ``arith`` kept
+    beside ``Poly2`` before a univariate polynomial became a Poly2 in one
+    variable.  Kept, with :func:`reference_resultant` and
+    :func:`reference_rational_roots`, as the differential reference for root
+    extraction, the resultant, exact division and display."""
+
+    __slots__ = ("a", "var")
+
+    def __init__(self, coeffs=(), var: str = "x"):
+        a = [frac(v) for v in coeffs]
+        while a and not a[-1]:
+            a.pop()
+        self.a = a
+        self.var = var
+
+    @staticmethod
+    def const(value, var="x") -> "ReferencePoly1":
+        return ReferencePoly1([frac(value)], var=var)
+
+    def degree(self) -> int:
+        return len(self.a) - 1 if self.a else -1
+
+    def is_zero(self) -> bool:
+        return not self.a
+
+    def is_const(self) -> bool:
+        return len(self.a) <= 1
+
+    def __getitem__(self, d: int) -> Fraction:
+        return self.a[d] if 0 <= d < len(self.a) else Fraction(0)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, str)):
+            other = ReferencePoly1.const(other, var=self.var)
+        return isinstance(other, ReferencePoly1) and self.a == other.a
+
+    def __hash__(self):
+        return hash(tuple(self.a))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        n = max(len(self.a), len(other.a))
+        return ReferencePoly1([self[d] + other[d] for d in range(n)], var=self.var)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferencePoly1([-v for v in self.a], var=self.var)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if self.is_zero() or other.is_zero():
+            return ReferencePoly1(var=self.var)
+        out = [Fraction(0)] * (len(self.a) + len(other.a) - 1)
+        for i, u in enumerate(self.a):
+            if not u:
+                continue
+            for j, v in enumerate(other.a):
+                out[i + j] += u * v
+        return ReferencePoly1(out, var=self.var)
+
+    __rmul__ = __mul__
+
+    def _coerce(self, other) -> "ReferencePoly1":
+        if isinstance(other, ReferencePoly1):
+            return other
+        return ReferencePoly1.const(other, var=self.var)
+
+    def eval(self, point) -> Fraction:
+        point = frac(point)
+        total = Fraction(0)
+        for coeff in reversed(self.a):
+            total = total * point + coeff
+        return total
+
+    def divmod_exact(self, other: "ReferencePoly1"):
+        """Quotient and remainder over Q."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.a)
+        quot = [Fraction(0)] * max(0, len(rem) - len(other.a) + 1)
+        dlead = other.a[-1]
+        while len(rem) >= len(other.a):
+            factor = rem[-1] / dlead
+            shift = len(rem) - len(other.a)
+            quot[shift] = factor
+            for i, v in enumerate(other.a):
+                rem[shift + i] -= factor * v
+            while rem and not rem[-1]:
+                rem.pop()
+            if not rem:
+                break
+        return ReferencePoly1(quot, var=self.var), ReferencePoly1(rem, var=self.var)
+
+    def __str__(self):
+        parts = []
+        for d in range(len(self.a) - 1, -1, -1):
+            val = self.a[d]
+            if not val:
+                continue
+            if d == 0:
+                parts.append(str(val))
+            else:
+                mono = self.var if d == 1 else f"{self.var}^{d}"
+                parts.append(mono if val == 1 else (f"-{mono}" if val == -1 else f"{val}*{mono}"))
+        return join_signed(parts)
+
+    __repr__ = __str__
+
+
+def as_reference_poly1(p: Poly2, var: str | None = None) -> ReferencePoly1:
+    """A Poly2 in x only or in y only as a ReferencePoly1 in that variable
+    (x for a constant), or named ``var``."""
+    terms = p.terms_sorted()
+    pos = 1 if any(j for (_, j), _ in terms) else 0
+    assert not (pos and any(i for (i, _), _ in terms)), f"{p} is in both variables"
+    coeffs = {key[pos]: val for key, val in terms}
+    deg = max(coeffs, default=-1)
+    return ReferencePoly1([coeffs.get(d, 0) for d in range(deg + 1)], var=var or "xy"[pos])
+
+
+def reference_resultant(p: Poly2, q: Poly2, eliminate: str) -> ReferencePoly1:
+    """``arith.resultant`` as it stood on ReferencePoly1 entries: the
+    Sylvester matrix over Q[t] with p's rows on top, and Bareiss's
+    elimination with every division a Fraction ``divmod_exact``."""
+    keep = "y" if eliminate == "x" else "x"
+    n, m = p.degree_in(eliminate), q.degree_in(eliminate)
+    prow = [as_reference_poly1(p.coeff_of(eliminate, n - i), keep) for i in range(n + 1)]
+    qrow = [as_reference_poly1(q.coeff_of(eliminate, m - i), keep) for i in range(m + 1)]
+    size = n + m
+    zero = ReferencePoly1(var=keep)
+    matrix = [[zero] * s + prow + [zero] * (m - 1 - s) for s in range(m)]
+    matrix += [[zero] * s + qrow + [zero] * (n - 1 - s) for s in range(n)]
+    sign, prev = 1, ReferencePoly1([1], var=keep)
+    for k in range(size - 1):
+        if matrix[k][k].is_zero():
+            swap = next((r for r in range(k + 1, size) if not matrix[r][k].is_zero()), None)
+            if swap is None:
+                return zero
+            matrix[k], matrix[swap] = matrix[swap], matrix[k]
+            sign = -sign
+        pivot = matrix[k]
+        for row in matrix[k + 1:]:
+            for j in range(k + 1, size):
+                row[j], rem = (row[j] * pivot[k] - row[k] * pivot[j]).divmod_exact(prev)
+                assert rem.is_zero()
+        prev = pivot[k]
+    return matrix[-1][-1] * sign
 
 
 def reference_mono_product(algebra, umono: tuple, p: int, wmono: tuple, base: str, memo: dict) -> tuple:
@@ -323,7 +466,7 @@ def reference_kernel_basis(rows: list, ncols: int) -> list:
     return basis
 
 
-def reference_rational_roots(p: Poly1):
+def reference_rational_roots(p: ReferencePoly1):
     """``arith.rational_roots`` as it stood before its integer root test:
     every candidate r/s is a ``Fraction``, evaluated on the deflated
     polynomial by Fraction Horner, in ascending order.  The reference for it."""
@@ -337,7 +480,7 @@ def reference_rational_roots(p: Poly1):
         zero_mult += 1
     if zero_mult:
         roots[Fraction(0)] = zero_mult
-    work = Poly1(a, var=p.var)
+    work = ReferencePoly1(a, var=p.var)
     if work.degree() >= 1:
         den_lcm = math.lcm(*(v.denominator for v in work.a))
         ints = [int(v * den_lcm) for v in work.a]
@@ -350,7 +493,7 @@ def reference_rational_roots(p: Poly1):
         for cand in sorted(candidates):
             while not work.is_const() and work.eval(cand) == 0:
                 roots[cand] = roots.get(cand, 0) + 1
-                work, rem = work.divmod_exact(Poly1([-cand, 1], var=p.var))
+                work, rem = work.divmod_exact(ReferencePoly1([-cand, 1], var=p.var))
                 assert rem.is_zero()
     return roots, work
 

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bpalgebra.arith import POLY_X, POLY_Y, Poly1, Poly2
+from bpalgebra.arith import POLY_X, POLY_Y, Poly2
 from bpalgebra.classify import (
     IdenticalSystem,
     UnsupportedLevel,
@@ -16,7 +16,7 @@ from bpalgebra.tables import RATIONAL_LEVELS, golden_classify, golden_zhu, table
 from bpalgebra.weightspace import contragredient_weight, spectral_flow_weight
 from bpalgebra.zhu import SmithAlgebra, SmithWord, h_poly, relation_line, smith_relation
 
-from helpers import projection_filter
+from helpers import poly_in, projection_filter
 
 
 def fr_pairs(pairs):
@@ -126,10 +126,10 @@ def test_unsupported_level():
 
 def test_certificates():
     certs = infinite_top_certificates(Q(-5, 3), [(Q(7, 9), Q(-1, 9))])
-    assert certs[0].poly_in_i == Poly1([Q(-2, 9), -1, -1], var="i")
+    assert certs[0].poly_in_i == poly_in([Q(-2, 9), -1, -1])
     assert certs[0].verdict == "no positive integer root"
     certs = infinite_top_certificates(Q(-9, 4), [(Q(0), Q(-1, 2)), (Q(1, 2), Q(-1, 2))])
-    i = Poly1.ident("i")
+    i = POLY_X
     assert certs[0].poly_in_i == (2 * i - 1) * (4 * i - 1) * Q(-1, 8)
     assert certs[0].rational_roots == [Q(1, 4), Q(1, 2)]
     assert certs[1].poly_in_i == (2 * i + 1) * (4 * i + 1) * Q(-1, 8)
@@ -165,5 +165,5 @@ def test_finite_weights_pass_projection_filter():
 def test_pi0_bracket_identity():
     lhs, rhs, ok = pi0_bracket_identity()
     assert ok
-    assert lhs.eval(0) == Q(15, 8)
-    assert lhs.eval(1) == 3 - Q(9, 2) + Q(15, 8)
+    assert lhs.eval(0, 0) == Q(15, 8)
+    assert lhs.eval(1, 0) == 3 - Q(9, 2) + Q(15, 8)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bpalgebra.arith import POLY_X, Poly1, Q
+from bpalgebra.arith import POLY_X, Q
 from bpalgebra.classify import BranchResult, Certificate, WeightSet
 from bpalgebra.freefield import Embedding, FFGenerator, weyl_algebra
 from bpalgebra.modes import BAR, GP, HW, J, L, VAC, Bracket, BPAlgebra
@@ -68,7 +68,7 @@ def test_default_lists_are_fresh():
 
 
 def test_tuple_records_build_compare_and_hash():
-    poly = Poly1.ident("r")
+    poly = POLY_X
     assert Bracket() == Bracket((), (), Q(0)) == Bracket(j2=(), linear=(), scalar=Q(0))
     linear = (((GP, 0), Q(1)),)
     assert Bracket(linear=linear).linear is linear and Bracket(scalar=Q(2)).scalar == 2

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from bpalgebra.arith import POLY_X, POLY_Y, Poly1, Poly2
+from bpalgebra.arith import POLY_X, POLY_Y, Poly2
 from bpalgebra.modes import BAR, BPAlgebra, GM, GP, J, L, OMEGA
 from bpalgebra.singular import integral_level_vector
 from bpalgebra.tables import golden_poly, golden_zhu, omega3_bar, omega4_bar
@@ -21,7 +21,7 @@ from bpalgebra.zhu import (
     zhu_star,
 )
 
-from helpers import check_circle_vanishes, check_zhu_multiplicativity
+from helpers import check_circle_vanishes, check_zhu_multiplicativity, poly_in
 
 LEVELS = (Q(-5, 3), Q(-9, 4), Q(3, 4))
 
@@ -42,17 +42,17 @@ def test_h_poly_matches_closed_form():
 def test_h_values_along_boundary_lines():
     # at k = -9/4
     assert h_in_i(Q(-9, 4), Q(1, 4), Q(-1, 2)) == (
-        Poly1([Q(-1), 0, Q(16)], var="i") * Q(-1, 16)
+        poly_in([Q(-1), 0, Q(16)]) * Q(-1, 16)
     )
     # (4i-1)(4i+1)/(-16) expanded
-    i = Poly1.ident("i")
+    i = POLY_X
     assert h_in_i(Q(-9, 4), 0, Q(-1, 2)) == (2 * i - 1) * (4 * i - 1) * Q(-1, 8)
     assert h_in_i(Q(-9, 4), Q(1, 2), Q(-1, 2)) == (2 * i + 1) * (4 * i + 1) * Q(-1, 8)
     # h_in_i agrees with pointwise h_poly evaluation
     for k, x0, y0 in ((Q(-5, 3), Q(1, 9), Q(-1, 9)), (Q(-9, 4), Q(1, 4), Q(-1, 2))):
         series = h_in_i(k, x0, y0)
         for ival in range(1, 7):
-            assert series.eval(ival) == h_poly(ival, k).eval(x0, y0)
+            assert series.eval(ival, 0) == h_poly(ival, k).eval(x0, y0)
 
 
 def test_zero_mode_poly_identity_element():
