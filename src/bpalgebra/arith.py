@@ -501,16 +501,17 @@ class NotInvertibleModP(ArithmeticError):
     """A rational whose denominator is divisible by ``_PRIME`` has no image in GF(p)."""
 
 
-def residue(value) -> int:
-    """The image of an int or Fraction in GF(p), p = ``_PRIME``, as its
-    residue in [0, p); raises :class:`NotInvertibleModP`.
+def residue(value, den: int = 1) -> int:
+    """The image of value / den in GF(p), p = ``_PRIME``, as its residue in
+    [0, p), for an int or Fraction value; raises :class:`NotInvertibleModP`.
 
     This is the reduction Z_(p) -> GF(p), a ring homomorphism, so a matrix
     computed with lifted constants is the reduction of the rational one, and
     a nonzero minor mod p proves a nonzero minor over Q.
     """
-    if isinstance(value, int):
+    if isinstance(value, int) and den == 1:
         return value % _PRIME
+    value = Fraction(value, den)
     den = value.denominator % _PRIME
     if not den:
         raise NotInvertibleModP(f"{value} has no image mod {_PRIME}")

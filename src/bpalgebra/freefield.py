@@ -95,16 +95,10 @@ class FFAlgebra(ModeAlgebra):
         return Bracket(scalar=IntState.lift(self._pairing(mode, head)))
 
     def translate(self, s: FFState) -> FFState:
-        """The translation operator D: [D, x_(n)] = -n x_(n-1), D(vacuum) = 0."""
-        out = FFState()
-        for mono, coeff in s.terms.items():
-            for i, (gen, n) in enumerate(mono):
-                rest = FFState(terms={mono[i + 1:]: Q(1)})
-                lifted = self.apply_mode((gen, n - 1), rest).scaled(-n)
-                for j in range(i - 1, -1, -1):
-                    lifted = self.apply_mode(mono[j], lifted)
-                out = out + lifted.scaled(coeff)
-        return out
+        """The translation operator D a = a_(-2) 1 (Kac, Vertex Algebras for
+        Beginners, section 4) by the iterate recursion, as an :class:`FFState`
+        over Q; D(vacuum) = 0."""
+        return self._product(s, -2, self.unit())
 
     def product(self, u: FFState, p: int, v: FFState) -> FFState:
         """The p-th product u_(p) v, exact with Koszul signs."""

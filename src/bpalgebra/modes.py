@@ -19,7 +19,7 @@ pair of generators, on the pair's first use: :func:`closed_form` gives the
 bracket as polynomials in the two mode indices times level constants.  A
 bracket is then evaluated, not derived: the integer indices go into its
 pair's closed form, and the level constants are lifted once per engine into
-its ring (Q, GF(p) or Q[x,y]).
+its ring (Q, GF(p) or Q[x,y]) by the ring lifts of its state type.
 
 States are finite linear combinations of canonical PBW monomials applied to
 the vacuum or to a generic highest-weight vector v(x,y) with (J(0), L(0))
@@ -56,7 +56,6 @@ VAC = "vac"
 HW = "hw"
 
 J, L, GP, GM = "J", "L", "G+", "G-"
-GENERATORS = (J, L, GP, GM)
 
 # Canonical PBW generator order; within a generator indices are
 # non-increasing left to right.  This matches the monomials of the golden
@@ -74,12 +73,6 @@ _VACUUM_CREATION_BOUND = {
 _HW_CREATION_BOUND = {J: -1, L: -1, GP: 0, GM: -1}
 
 _MODE_RE = re.compile(r"^(J|L|G\+|G-)\((-?\d+)\)$")
-
-
-def mode(gen: str, n: int) -> Mode:
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen!r}")
-    return (gen, int(n))
 
 
 def parse_mode(text: str) -> Mode:
@@ -226,8 +219,8 @@ def _evaluate(form: tuple, m: int, n: int, value) -> Bracket:
     """A closed form with lifted constants at the indices (m, n).
 
     Each output's sum of polynomial values times numerators goes through
-    ``value(total, den)`` into the ring; an output that vanishes there (mod
-    p, a nonzero sum may) is dropped.
+    ``value(total, den)``, the memo type's ``lift``, into the ring; an output
+    that vanishes there (mod p, a nonzero sum may) is dropped.
     """
     s, j2, linear, scalar = m + n, [], [], None
     for out, off, den, terms in form:
@@ -265,8 +258,8 @@ class Bracket(namedtuple("Bracket", "j2 linear scalar", defaults=((), (), Q(0)))
     (:meth:`ModeAlgebra._add_bracket`).  ``linear`` lists (mode, coeff) and
     ``scalar`` is the central term with delta conditions already evaluated.
     Brackets are memoized per algebra, so they are immutable; the ones an
-    algebra's ``bracket`` returns hold their constants in its memo ring
-    (:class:`ModeAlgebra`), not its state ring: Z for the free-field engines.
+    algebra's ``bracket`` returns hold their constants in its memo type's
+    ring (:class:`ModeAlgebra`), not its state ring: Z for the free fields.
     """
 
     __slots__ = ()
@@ -276,7 +269,9 @@ class State:
     """Sparse combination of canonical PBW monomials over a base tag.
 
     Coefficients lie in ``ring``: Q[x,y] by default, Q for
-    :class:`ScalarState`; ``lift`` maps scalars into it.  This is the one
+    :class:`ScalarState`.  The ring lifts live here: ``lift(value, den=1)``
+    maps value / den into it and ``lift_constants`` maps a closed form's
+    level constants to (numerators, denominator).  This is the one
     sparse combination type: the scalar and free-field states and the Smith
     words are subclasses that change the ring, the base or the display only,
     so generic code builds states with keyword arguments:
@@ -287,6 +282,7 @@ class State:
     __slots__ = ("base", "terms")
     ring = Poly2
     lift = staticmethod(Poly2.const)
+    lift_constants = staticmethod(_q_constants)
 
     def __init__(self, base=VAC, terms: dict | None = None):
         self.base = base
@@ -430,7 +426,8 @@ class ModeAlgebra:
     and ``_weight_memo`` and, beside them, the memo ring ``memo_type``: the
     state type in which ``_insert`` and ``_mono_product`` accumulate, whose
     ring holds the bracket constants and memo coefficients (``state_type``
-    for :class:`BPAlgebra`, :class:`IntState` for the free fields).  A memo
+    for :class:`BPAlgebra`, :class:`IntState` for the free fields), and
+    whose ``lift`` and ``lift_constants`` put them there.  A memo
     coefficient enters a public state only times a factor lifted into its
     ring.  Insertion and action memo values are frozen tuples of (monomial,
     coefficient) pairs, so no result can alias a memo table; the weight memo
@@ -675,34 +672,18 @@ class BPAlgebra(ModeAlgebra):
             pair = (a[0], b[0])
             form = self._forms.get(pair)
             if form is None:
-                form = self._forms[pair] = self._lift_form(self.convention, pair, self._lift_constants)
-            out = self._bracket_memo[(a, b)] = _evaluate(form, a[1], b[1], self._ring_value)
+                form = self._forms[pair] = self._lift_form(pair)
+            out = self._bracket_memo[(a, b)] = _evaluate(form, a[1], b[1], self.memo_type.lift)
         return out
 
-    def _lift_form(self, convention: str, pair: tuple, lift_constants) -> tuple:
+    def _lift_form(self, pair: tuple) -> tuple:
         """The pair's closed form, each output's constants at this level
-        lifted by ``lift_constants`` to (numerators, denominator)."""
+        lifted by the memo type's ``lift_constants``."""
         form = []
-        for out, off, terms in closed_form(*pair, convention):
-            nums, den = lift_constants([self._level_constants[name] / d for _, (name, d) in terms])
+        for out, off, terms in closed_form(*pair, self.convention):
+            nums, den = self.memo_type.lift_constants([self._level_constants[name] / d for _, (name, d) in terms])
             form.append((out, off, den, tuple(zip((poly for poly, _ in terms), nums))))
         return tuple(form)
-
-    # Over Q (and Q[x,y]), an output's constants share one denominator, so
-    # its value is total / den, lifted straight into the state ring; the
-    # mod-p engine overrides both.
-    _lift_constants = staticmethod(_q_constants)
-
-    def _ring_value(self, total: int, den: int):
-        return self.memo_type.lift(total, den)
-
-    def _bracket_omega(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] over Q in the omega grading: the printed table."""
-        return _evaluate(self._lift_form(OMEGA, (a[0], b[0]), _q_constants), a[1], b[1], Q)
-
-    def _compute_bracket(self, a: Mode, b: Mode) -> Bracket:
-        """[a, b] over Q in this convention, from the pair's closed form."""
-        return _evaluate(self._lift_form(self.convention, (a[0], b[0]), _q_constants), a[1], b[1], Q)
 
     # ------------------------------------------------------------------
     # Left action and normal ordering

@@ -60,11 +60,17 @@ class _ScalarAlgebra(BPAlgebra):
 
 
 class _ModPState(State):
-    """A vacuum state with coefficients in GF(p), as int residues in [0, p)."""
+    """A vacuum state with coefficients in GF(p), as int residues in [0, p);
+    its ring lifts are :func:`~bpalgebra.arith.residue`, and residues over 1
+    for the level constants."""
 
     __slots__ = ()
     ring = int
     lift = staticmethod(residue)
+
+    @staticmethod
+    def lift_constants(values: list) -> tuple:
+        return [residue(v) for v in values], 1
 
     def add_scaled(self, pairs, factor=None) -> None:
         """:meth:`State.add_scaled` mod p: every sum and product is reduced,
@@ -88,23 +94,15 @@ class _ModPAlgebra(BPAlgebra):
     The prime is 2^30 - 35, the largest below 2^30, so a residue is a
     one-digit CPython int and a product of two is at most two digits.
 
-    ``bracket`` evaluates each closed form on residues: the level constants
-    of a generator pair are lifted once, on the pair's first bracket, and one
-    that is not p-integral raises :class:`NotInvertibleModP`.  Every other
-    step is a ring operation reduced mod p, there and in :class:`_ModPState`,
-    so the rows it builds are the reductions mod p of the rows of
+    Its ring lifts are those of :class:`_ModPState`: ``bracket`` evaluates
+    each closed form on residues, with the level constants of a generator
+    pair lifted once, on the pair's first bracket.  Every other step is a
+    ring operation reduced mod p, there and in :class:`_ModPState`, so the
+    rows it builds are the reductions mod p of the rows of
     :class:`_ScalarAlgebra`.
     """
 
     state_type = _ModPState
-
-    @staticmethod
-    def _lift_constants(values: list) -> tuple:
-        return [residue(v) for v in values], 1
-
-    @staticmethod
-    def _ring_value(total: int, den: int) -> int:
-        return total % _PRIME
 
 
 @lru_cache(maxsize=1)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from .arith import POLY_X, POLY_Y, Poly2, Q, binomial, frac, join_signed
 from .modes import BAR, GM, GP, HW, J, L, OMEGA, VAC, BPAlgebra, State
-from .weightspace import top_vector
 
 
 def g_poly(k) -> Poly2:
@@ -220,21 +219,6 @@ class SmithWord(State):
         out = self.base.one()
         for _ in range(n):
             out = out * self
-        return out
-
-    def top_level_action(self, algebra_hw: BPAlgebra) -> State:
-        """Action on the generic highest-weight vector v(x, y).
-
-        E acts as G+(0), F as -G-(0), X as J(0) and Y as L(0); the result is
-        computed through the mode engine, not through closed forms.
-        """
-        out = State(HW)
-        for (a, d), poly in self.terms.items():
-            w = top_vector(algebra_hw, d)
-            w = w.scaled(poly.subst(POLY_X + d, POLY_Y))
-            for _ in range(a):
-                w = algebra_hw.apply_mode((GM, 0), w).scaled(-1)
-            out = out + w
         return out
 
     def __str__(self):

@@ -14,11 +14,11 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from bpalgebra import BPAlgebra, State
-from bpalgebra.arith import Poly2, _divisors, binomial, frac, join_signed
+from bpalgebra.arith import POLY_X, POLY_Y, Poly2, _divisors, binomial, frac, join_signed
 from bpalgebra.classify import _singular_vector
 from bpalgebra.cli import _NEGATIVE_RATIONAL
 from bpalgebra.modes import BAR, GM, GP, HW, J, L, OMEGA, VAC
-from bpalgebra.weightspace import enumerate_basis
+from bpalgebra.weightspace import enumerate_basis, top_vector
 from bpalgebra.zhu import ZhuReducer, zero_mode_poly, zhu_circle, zhu_star
 
 GENS = (J, L, GP, GM)
@@ -500,8 +500,8 @@ def reference_rational_roots(p: ReferencePoly1):
 
 def reference_omega_bracket(algebra: BPAlgebra, a, b) -> tuple:
     """[a, b] in the omega grading as (j2, linear, scalar) over Q, by the
-    printed table written out case by case, as ``BPAlgebra._bracket_omega``
-    encoded it before the table became data.  Linear terms with a zero
+    printed table written out case by case, as the omega brackets were
+    coded before the table became data.  Linear terms with a zero
     coefficient are dropped; the reference for that table."""
     (ga, m), (gb, n) = a, b
     k = algebra.k
@@ -526,6 +526,38 @@ def reference_omega_bracket(algebra: BPAlgebra, a, b) -> tuple:
         j2, linear, scalar = reference_omega_bracket(algebra, b, a)
         return tuple((p, -c) for p, c in j2), tuple((md, -c) for md, c in linear), -scalar
     return j2, tuple((md, c) for md, c in linear if c), scalar
+
+
+def reference_translate(algebra, s):
+    """The translation operator D of a free-field algebra by the commutator
+    [D, x_(n)] = -n x_(n-1) and D(vacuum) = 0, monomial by monomial through
+    the mode action: the derivation ``FFAlgebra.translate`` used before it
+    became one iterate product, kept as its reference."""
+    out = type(s)()
+    for mono, coeff in s.terms.items():
+        for i, (gen, n) in enumerate(mono):
+            rest = type(s)(terms={mono[i + 1:]: Fraction(1)})
+            lifted = algebra.apply_mode((gen, n - 1), rest).scaled(-n)
+            for j in range(i - 1, -1, -1):
+                lifted = algebra.apply_mode(mono[j], lifted)
+            out = out + lifted.scaled(coeff)
+    return out
+
+
+def reference_top_level_action(word, algebra_hw: BPAlgebra) -> State:
+    """A Smith word's action on the generic highest-weight vector v(x, y).
+
+    E acts as G+(0), F as -G-(0), X as J(0) and Y as L(0); the result is
+    computed through the mode engine, not through closed forms.
+    """
+    out = State(HW)
+    for (a, d), poly in word.terms.items():
+        w = top_vector(algebra_hw, d)
+        w = w.scaled(poly.subst(POLY_X + d, POLY_Y))
+        for _ in range(a):
+            w = algebra_hw.apply_mode((GM, 0), w).scaled(-1)
+        out = out + w
+    return out
 
 
 def projection_filter(k: Fraction):

@@ -646,6 +646,27 @@ def test_gfp_lift_is_a_ring_homomorphism():
             residue(bad)
 
 
+def test_residue_of_a_quotient_is_the_residue_of_the_fraction(monkeypatch):
+    """residue(value, den) equals residue(Fraction(value, den)) for int and
+    Fraction values, keeps the int fast path at den = 1, and refuses a
+    quotient whose denominator p divides."""
+    rng = random.Random(62)
+    for _ in range(200):
+        value = rng.choice([rng.randint(-10**20, 10**20), Q(rng.randint(-10**20, 10**20), rng.randint(1, 10**9))])
+        den = rng.choice([1, rng.randint(1, 10**20), _PRIME + 1, 2 * _PRIME - 1])
+        got = residue(value, den)
+        assert type(got) is int and 0 <= got < _PRIME
+        assert got == residue(Q(value, den))
+    assert residue(-3, 1) == _PRIME - 3 and residue(Q(-3), 1) == _PRIME - 3
+    assert residue(3, 2) == residue(Q(3, 2)) and residue(3, 2) * 2 % _PRIME == 3
+    assert residue(3 * _PRIME, _PRIME) == 3 and residue(0, _PRIME) == 0
+    for value, den in ((1, _PRIME), (-3, 2 * _PRIME), (Q(1, 2), _PRIME), (Q(1, _PRIME), 1)):
+        with pytest.raises(NotInvertibleModP):
+            residue(value, den)
+    monkeypatch.setattr(arith, "Fraction", None)  # the int fast path builds no Fraction
+    assert residue(_PRIME + 5, 1) == residue(_PRIME + 5) == 5
+
+
 def test_kernel_basis_matches_reference_on_random_matrices():
     rng = random.Random(20191031)
     cases = [([], 0), ([], 4), ([[]], 0), ([[], []], 0), ([[Q(_PRIME)]], 1), ([[Q(1, _PRIME), Q(1)]], 2)]

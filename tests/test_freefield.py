@@ -23,6 +23,8 @@ from bpalgebra.modes import BAR, BPAlgebra, GM, GP, IntState, J, OMEGA, VAC
 from bpalgebra.tables import omega4
 from bpalgebra.weightspace import enumerate_basis
 
+from helpers import reference_translate
+
 
 def test_weyl_mode_products():
     w = weyl_algebra()
@@ -280,6 +282,33 @@ def test_public_free_field_results_are_fractions(make):
     assert len(nonzero) >= 40, len(nonzero)
     for s in results:
         assert type(s) is FFState and all(type(c) is Q for c in s.terms.values()), s
+
+
+@pytest.mark.parametrize("make", [weyl_embedding, fermionic_embedding])
+def test_translate_matches_the_commutator_derivation(make):
+    """D as the product a_(-2) 1 equals D by [D, x_(n)] = -n x_(n-1) on the
+    realization's images, their pairwise (-1)-products and random states
+    with int and Fraction coefficients; D 1 = 0, and every result is over Q."""
+    emb = make()
+    alg = emb.algebra
+    images = list(emb.images.values())
+    states = images + [alg.product(u, -1, w) for u in images for w in images]
+    rng = random.Random(f"translate {alg.name}")
+    gens = list(alg.generators)
+    for _ in range(20):
+        word = [(rng.choice(gens), -rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        monos = list(alg.normal_form(word).terms) + list(alg.normal_form(word[1:]).terms)
+        states.append(FFState(terms={mono: rng.choice([-2, -1, 1, 3]) for mono in monos}))
+        states.append(FFState(terms={mono: Q(rng.choice([-5, -1, 2, 7]), rng.randint(1, 9)) for mono in monos}))
+    assert any(type(c) is int for s in states for c in s.terms.values())
+    assert alg.translate(alg.unit()).is_zero() and reference_translate(alg, alg.unit()).is_zero()
+    nonzero = 0
+    for s in states:
+        got = alg.translate(s)
+        assert got == reference_translate(alg, s), s
+        assert type(got) is FFState and all(type(c) is Q for c in got.terms.values()), s
+        nonzero += not got.is_zero()
+    assert nonzero >= 40, nonzero
 
 
 def test_integer_memo_ring_never_truncates():

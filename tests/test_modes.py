@@ -303,13 +303,14 @@ def test_memoized_brackets_match_a_fresh_algebra(grading):
             assert br == BPAlgebra(level, grading).bracket(a, b), (level, a, b)
 
 
-def _reference_bar_bracket(algebra, a, b):
-    """The bar bracket derived term by term: every product and every zero sum
-    of the substitution taken, as the derivation stood before it skipped them."""
+def _reference_bar_bracket(omega, a, b):
+    """The bar bracket derived term by term from the omega engine ``omega``
+    over Q: every product and every zero sum of the substitution taken, as
+    the derivation stood before it skipped them."""
     linear_acc, j2_acc, scalar = {}, {}, Q(0)
     for ma, ca in substitute(a, BAR, OMEGA):
         for mb, cb in substitute(b, BAR, OMEGA):
-            piece = algebra._bracket_omega(ma, mb)
+            piece = omega.bracket(ma, mb)
             cc = ca * cb
             scalar += cc * piece.scalar
             for p, coeff in piece.j2:
@@ -329,13 +330,13 @@ def test_bar_brackets_match_the_term_by_term_derivation(level):
     """Every bar bracket of two generator modes, indices -6..6, equals the
     term-by-term derivation: the same (J^2)_p markers, linear terms in the
     same order and the same central term."""
-    alg = BPAlgebra(level, BAR)
+    alg, omega = singular._ScalarAlgebra(level, BAR), singular._ScalarAlgebra(level, OMEGA)
     modes = [(gen, n) for gen in (J, L, GP, GM) for n in range(-6, 7)]
     seen = {"j2": 0, "scalar": 0}
     for a in modes:
         for b in modes:
-            br = alg._compute_bracket(a, b)
-            assert (br.j2, br.linear, br.scalar) == _reference_bar_bracket(alg, a, b), (a, b)
+            br = alg.bracket(a, b)
+            assert (br.j2, br.linear, br.scalar) == _reference_bar_bracket(omega, a, b), (a, b)
             assert type(br.scalar) is Q and all(type(c) is Q for _, c in br.j2 + br.linear)
             seen["j2"] += bool(br.j2)
             seen["scalar"] += bool(br.scalar)
@@ -348,15 +349,16 @@ _CLOSED_FORM_LEVELS = [KTEST, Q(-9, 4), Q(0), Q(random.Random(27).randint(-40, 4
 @pytest.mark.parametrize("level", _CLOSED_FORM_LEVELS)
 def test_omega_brackets_match_the_table_written_case_by_case(level):
     """The omega closed forms, from the table as data, equal the printed
-    relations written out case by case, for every pair with indices -6..6."""
-    alg = BPAlgebra(level, OMEGA)
+    relations written out case by case, for every pair with indices -6..6;
+    the warm engine's brackets equal a fresh engine's."""
+    alg = singular._ScalarAlgebra(level, OMEGA)
     modes = [(gen, n) for gen in (J, L, GP, GM) for n in range(-6, 7)]
     for a in modes:
         for b in modes:
-            br = alg._bracket_omega(a, b)
+            br = alg.bracket(a, b)
             j2, linear, scalar = reference_omega_bracket(alg, a, b)
             assert (br.j2, br.linear, br.scalar) == (j2, tuple(sorted(linear, key=lambda t: _mode_key(t[0]))), scalar)
-            assert br == alg._compute_bracket(a, b)
+            assert br == singular._ScalarAlgebra(level, OMEGA).bracket(a, b)
 
 
 @pytest.mark.parametrize("grading", [BAR, OMEGA])
@@ -364,7 +366,7 @@ def test_omega_brackets_match_the_table_written_case_by_case(level):
 def test_brackets_agree_across_the_three_rings(level, grading):
     """On random pairs with indices -6..6, the GF(p) engine's brackets are the
     residues of the Q engine's, and the Q[x,y] engine's are their constant
-    lifts; the Q engine's equal the Q-valued evaluator.  Half the pairs
+    lifts; the warm Q engine's equal a fresh Q engine's.  Half the pairs
     have total index 0 or 1, where the central terms live."""
     rng = random.Random(f"{level} {grading}")
     gens = (J, L, GP, GM)
@@ -375,7 +377,7 @@ def test_brackets_agree_across_the_three_rings(level, grading):
         m = rng.randint(-5, 6)
         a, b = (rng.choice(gens), m), (rng.choice(gens), rng.choice([-m, 1 - m, rng.randint(-6, 6)]))
         want = scalar.bracket(a, b)
-        assert want == scalar._compute_bracket(a, b)
+        assert want == singular._ScalarAlgebra(level, grading).bracket(a, b)
         for engine, lift, ring in ((modp, residue, int), (poly, Poly2.const, Poly2)):
             got = engine.bracket(a, b)
             assert got.j2 == tuple((p, lift(c)) for p, c in want.j2), (engine, a, b)
